@@ -20,15 +20,18 @@
  *   perf_sim_core --json > BENCH_sim_core.json
  *
  * Values are machine-dependent — CI validates the schema, never the
- * numbers.
+ * numbers. The JSON document records the host as extra top-level keys
+ * (nproc, cpu, compiler, build_type).
  */
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -171,6 +174,32 @@ codecRows(Table &t, SimdLevel level)
     clearSimdLevelOverride();
 }
 
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            return colon == std::string::npos ? line
+                                              : line.substr(colon + 2);
+        }
+    return "unknown";
+}
+
+/** The host's key/value lines, spliced in after the document's "runs". */
+std::string
+hostKeys()
+{
+    std::ostringstream os;
+    os << ",\n  \"nproc\": " << std::thread::hardware_concurrency()
+       << ",\n  \"cpu\": \"" << jsonEscape(cpuModel()) << "\""
+       << ",\n  \"compiler\": \"" << jsonEscape(GS_COMPILER) << "\""
+       << ",\n  \"build_type\": \"" << jsonEscape(GS_BUILD_TYPE) << "\"";
+    return os.str();
+}
+
 } // namespace
 
 int
@@ -214,6 +243,11 @@ main(int argc, char **argv)
 
     const SuiteResult result = makeSuiteResult(
         "perf_sim_core", "perf", t);
-    makeResultSink(format, std::cout)->emit(result);
+    std::ostringstream doc;
+    makeResultSink(format, doc)->emit(result);
+    std::string out = doc.str();
+    if (format == ResultFormat::Json)
+        out.insert(out.rfind("\n}"), hostKeys());
+    std::cout << out;
     return 0;
 }

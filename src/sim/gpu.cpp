@@ -58,14 +58,24 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
         watchdog = out.watchdog;
     } else {
         Cycle now = 0;
-        for (; now < cfg_.maxCycles; ++now) {
+        while (now < cfg_.maxCycles) {
             bool all_idle = true;
+            Cycle wake = Sm::kNoWake;
             for (auto &sm : sms) {
                 sm->tick(now);
                 all_idle &= sm->idle();
+                wake = std::min(wake, sm->wakeAt());
             }
             if (all_idle)
                 break;
+            // Every SM sleeps until `wake` (at least now + 1): credit
+            // the cycles in between in bulk and resume there. A
+            // deadlocked grid reaches the watchdog in one step.
+            const Cycle next = std::min(wake, cfg_.maxCycles);
+            if (next > now + 1)
+                for (auto &sm : sms)
+                    sm->skipQuiet(next - now - 1);
+            now = next;
         }
         watchdog = now >= cfg_.maxCycles;
         // On a watchdog stop the loop counter has already run past the
@@ -77,8 +87,13 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
                 "-cycle watchdog; results are partial");
 
     EventCounts total;
-    for (auto &sm : sms)
+    work_ = {};
+    for (auto &sm : sms) {
         total += sm->events();
+        work_.smTicks += sm->events().cycles;
+        work_.smTicksSkipped += sm->ticksSkipped();
+        work_.issueAttempts += sm->issueAttempts();
+    }
     total.cycles = cycles;
     return total;
 }

@@ -8,6 +8,7 @@
 #ifndef GSCALAR_SIM_GPU_HPP
 #define GSCALAR_SIM_GPU_HPP
 
+#include <cstdint>
 #include <memory>
 
 #include "common/config.hpp"
@@ -19,6 +20,23 @@
 
 namespace gs
 {
+
+/**
+ * Host work of one launch. Deterministic (no wall clock, the same on
+ * every host) but not modelled state: it lives outside EventCounts, so
+ * fingerprints, stored results and the golden output never see it.
+ */
+struct SimWork
+{
+    std::uint64_t smTicks = 0;        ///< SM cycles covered (cycles x SMs)
+    std::uint64_t smTicksSkipped = 0; ///< credited without running phases
+    std::uint64_t issueAttempts = 0;  ///< warp issue checks (Sm::issueWarp)
+
+    std::uint64_t smTicksSimulated() const
+    {
+        return smTicks - smTicksSkipped;
+    }
+};
 
 /**
  * A simulated GPU. Typical use:
@@ -44,6 +62,9 @@ class Gpu
      */
     EventCounts launch(const Kernel &kernel, LaunchDims dims);
 
+    /** Host work of the most recent launch(). */
+    const SimWork &lastLaunchWork() const { return work_; }
+
     const ArchConfig &config() const { return cfg_; }
 
     /** Attach an execution tracer (nullptr to detach). Not owned. */
@@ -53,6 +74,7 @@ class Gpu
     ArchConfig cfg_;
     GlobalMemory gmem_;
     Tracer *tracer_ = nullptr;
+    SimWork work_;
 };
 
 } // namespace gs

@@ -73,6 +73,7 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
     warps_.resize(maxWarps_);
     boards_.resize(maxWarps_);
     warpInFlight_.assign(maxWarps_, 0);
+    sbBlocked_.assign(maxWarps_, 0);
     oc_.resize(cfg.numCollectors);
     bankFreeAt_.assign(cfg.numBanks, 0);
     scalarBankFreeAt_.assign(cfg.scalarRfBanks, 0);
@@ -110,19 +111,76 @@ Sm::idle() const
 void
 Sm::tick(Cycle now)
 {
-    writeback(now);
-    dispatchReady(now);
-    scheduleIssue(now);
-    retireCtas(now);
-    tryLaunchCtas(now);
+    if (now < wakeAt_) {
+        skipQuiet(1);
+        return;
+    }
+    const StallCounts before = stallCounts();
+    bool progress = writeback(now);
+    progress |= dispatchReady(now);
+    progress |= scheduleIssue(now);
+    progress |= retireCtas(now);
+    progress |= tryLaunchCtas(now);
     ++ev_.cycles;
+    if (progress) {
+        wakeAt_ = now + 1;
+        return;
+    }
+    // Nothing moved, so nothing else can until a timing event fires:
+    // sleep, repeating this tick's stall counts.
+    const StallCounts after = stallCounts();
+    quiet_ = {after.scoreboard - before.scoreboard,
+              after.schedIdle - before.schedIdle,
+              after.ocFull - before.ocFull,
+              after.pipeBusy - before.pipeBusy};
+    wakeAt_ = nextWake(now);
+}
+
+void
+Sm::skipQuiet(Cycle n)
+{
+    ev_.scoreboardStalls += quiet_.scoreboard * n;
+    ev_.schedIdleCycles += quiet_.schedIdle * n;
+    ev_.ocFullStalls += quiet_.ocFull * n;
+    ev_.pipeBusyStalls += quiet_.pipeBusy * n;
+    // dispatchReady() advances its cursor on every tick.
+    const unsigned oc = unsigned(oc_.size());
+    ocRotate_ = unsigned((ocRotate_ + n % oc) % oc);
+    ev_.cycles += n;
+    ticksSkipped_ += n;
+}
+
+Sm::StallCounts
+Sm::stallCounts() const
+{
+    return {ev_.scoreboardStalls, ev_.schedIdleCycles, ev_.ocFullStalls,
+            ev_.pipeBusyStalls};
+}
+
+Cycle
+Sm::nextWake(Cycle now) const
+{
+    // The only time-dependent predicates of tick()'s phases.
+    Cycle wake = kNoWake;
+    auto after = [&](Cycle c) {
+        if (c > now)
+            wake = std::min(wake, c);
+    };
+    for (const InFlight &f : wbQueue_)
+        after(f.wbAt);
+    for (const InFlight &f : oc_)
+        if (f.used)
+            after(f.collectDone);
+    for (const Pipe *p : {&alu0_, &alu1_, &sfu_, &mem_})
+        after(p->freeAt);
+    return wake;
 }
 
 // --------------------------------------------------------------------------
 // CTA lifecycle
 // --------------------------------------------------------------------------
 
-void
+bool
 Sm::tryLaunchCtas(Cycle)
 {
     // At most one CTA per SM per cycle so grids spread round-robin over
@@ -133,7 +191,7 @@ Sm::tryLaunchCtas(Cycle)
             continue;
         const auto cta = dispatcher_.fetch();
         if (!cta)
-            return;
+            return false;
 
         slot.active = true;
         slot.ctaId = *cta;
@@ -160,14 +218,17 @@ Sm::tryLaunchCtas(Cycle)
             boards_[slot.warpBase + w].init(kernel_.numRegs,
                                             kernel_.numPreds);
             warpInFlight_[slot.warpBase + w] = 0;
+            sbBlocked_[slot.warpBase + w] = 0;
         }
-        return; // one launch per cycle
+        return true; // one launch per cycle
     }
+    return false;
 }
 
-void
+bool
 Sm::retireCtas(Cycle)
 {
+    bool retired = false;
     for (CtaSlot &slot : slots_) {
         if (!slot.active)
             continue;
@@ -178,6 +239,7 @@ Sm::retireCtas(Cycle)
                 done = false;
         }
         if (done) {
+            retired = true;
             slot.active = false;
             for (unsigned w = 0; w < slot.numWarps; ++w)
                 warps_[slot.warpBase + w].ctaSlot = -1;
@@ -185,15 +247,17 @@ Sm::retireCtas(Cycle)
                 tracer_->onCtaRetire(smId_, slot.ctaId, ev_.cycles);
         }
     }
+    return retired;
 }
 
 // --------------------------------------------------------------------------
 // Issue
 // --------------------------------------------------------------------------
 
-void
+bool
 Sm::scheduleIssue(Cycle now)
 {
+    bool any_issued = false;
     for (unsigned s = 0; s < cfg_.numSchedulers; ++s) {
         bool issued = false;
         bool saw_ready_warp = false;
@@ -203,7 +267,7 @@ Sm::scheduleIssue(Cycle now)
             if (ws.ctaSlot < 0 || ws.done() || ws.atBarrier)
                 return false;
             saw_ready_warp = true;
-            return issueWarp(w, now);
+            return !sbBlocked_[w] && issueWarp(w, now);
         };
 
         if (cfg_.schedPolicy == SchedPolicy::GreedyThenOldest) {
@@ -242,7 +306,9 @@ Sm::scheduleIssue(Cycle now)
             else
                 ++ev_.schedIdleCycles;
         }
+        any_issued |= issued;
     }
+    return any_issued;
 }
 
 bool
@@ -491,9 +557,12 @@ Sm::issueWarp(unsigned w, Cycle now)
     GS_ASSERT(pc >= 0 && std::size_t(pc) < kernel_.code.size(),
               "pc out of range");
     const Instruction &real = kernel_.code[std::size_t(pc)];
+    ++issueAttempts_;
 
-    if (!boards_[w].ready(real))
+    if (!boards_[w].ready(real)) {
+        sbBlocked_[w] = 1;
         return false;
+    }
 
     // Control flow executes at issue and uses no collector.
     if (real.pipe() == PipeClass::CTRL) {
@@ -891,9 +960,10 @@ Sm::memoryCompletion(InFlight &f, Cycle start)
     return done;
 }
 
-void
+bool
 Sm::dispatchReady(Cycle now)
 {
+    bool dispatched = false;
     const unsigned n = unsigned(oc_.size());
     for (unsigned k = 0; k < n; ++k) {
         InFlight &f = oc_[(ocRotate_ + k) % n];
@@ -946,17 +1016,21 @@ Sm::dispatchReady(Cycle now)
         f.dispatched = true;
         wbQueue_.push_back(std::move(f));
         f = InFlight{}; // free the collector slot
+        dispatched = true;
     }
     ocRotate_ = (ocRotate_ + 1) % n;
+    return dispatched;
 }
 
-void
+bool
 Sm::writeback(Cycle now)
 {
+    const std::size_t queued = wbQueue_.size();
     for (std::size_t i = 0; i < wbQueue_.size();) {
         InFlight &f = wbQueue_[i];
         if (f.wbAt <= now) {
             boards_[f.warp].release(f.inst);
+            sbBlocked_[f.warp] = 0;
             GS_ASSERT(warpInFlight_[f.warp] > 0, "in-flight underflow");
             --warpInFlight_[f.warp];
             wbQueue_[i] = std::move(wbQueue_.back());
@@ -965,6 +1039,7 @@ Sm::writeback(Cycle now)
             ++i;
         }
     }
+    return wbQueue_.size() != queued;
 }
 
 } // namespace gs

@@ -8,11 +8,24 @@
  * Functional state (register values, predicates, memory, compression
  * metadata) advances in program order at issue; the event-driven parts
  * (operand collection, pipeline occupancy, write-back) model timing.
+ *
+ * Quiescence: a tick that makes no progress (no write-back, dispatch,
+ * issue, CTA retire or CTA launch) changes nothing but four stall
+ * counters and the dispatch cursor, and every later tick repeats it
+ * exactly until the SM's next wake event: the earliest write-back due,
+ * collector ready or pipe free after that tick. tick() therefore
+ * sleeps until then, crediting each skipped cycle the quiet tick's
+ * stall counts, and Gpu::launch jumps over cycles in which every SM
+ * sleeps. Any new time-dependent predicate in tick()'s phases must be
+ * added as a wake event in nextWake(), or the skip becomes wrong.
+ * Warps whose scoreboard blocked their next instruction are memoised
+ * until one of their packets writes back.
  */
 
 #ifndef GSCALAR_SIM_SM_HPP
 #define GSCALAR_SIM_SM_HPP
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -63,8 +76,26 @@ class Sm
        GlobalMemory &gmem, MemorySystem &memsys,
        CtaDispatcher &dispatcher, Tracer *tracer = nullptr);
 
-    /** Advance one core cycle. */
+    /** Advance one core cycle; a sleeping SM only credits the cycle
+     *  its quiet tick's stall counts (see the file comment). */
     void tick(Cycle now);
+
+    /** First cycle whose tick() must run the phases again: now + 1
+     *  after a tick that made progress, kNoWake when no event is
+     *  pending. Every cycle before it would repeat the last quiet tick. */
+    Cycle wakeAt() const { return wakeAt_; }
+
+    /** Credit @p n sleeping cycles in bulk, exactly as @p n calls of
+     *  tick() before wakeAt() would. */
+    void skipQuiet(Cycle n);
+
+    /** Host work: issueWarp() calls (scoreboard/collector checks). */
+    std::uint64_t issueAttempts() const { return issueAttempts_; }
+
+    /** Host work: cycles credited without running the phases. */
+    std::uint64_t ticksSkipped() const { return ticksSkipped_; }
+
+    static constexpr Cycle kNoWake = ~Cycle{0};
 
     // ---- phase entry points for deterministic parallel ticking ------------
     // The parallel driver (sim/parallel.cpp) replays tick()'s phases
@@ -155,12 +186,24 @@ class Sm
         Cycle freeAt = 0;
     };
 
-    // ---- phases of tick() --------------------------------------------------
-    void tryLaunchCtas(Cycle now);
-    void scheduleIssue(Cycle now);
-    void dispatchReady(Cycle now);
-    void writeback(Cycle now);
-    void retireCtas(Cycle now);
+    /** The counters a quiet tick moves, per quiet tick. */
+    struct StallCounts
+    {
+        std::uint64_t scoreboard = 0, schedIdle = 0, ocFull = 0,
+                      pipeBusy = 0;
+    };
+
+    // ---- phases of tick(); each returns whether it made progress -----------
+    bool tryLaunchCtas(Cycle now);
+    bool scheduleIssue(Cycle now);
+    bool dispatchReady(Cycle now);
+    bool writeback(Cycle now);
+    bool retireCtas(Cycle now);
+
+    StallCounts stallCounts() const;
+    /** Earliest write-back, collector-ready or pipe-free cycle after
+     *  @p now; kNoWake when there is none. */
+    Cycle nextWake(Cycle now) const;
 
     // ---- issue helpers -------------------------------------------------------
     /** Attempt to issue from @p warp; true on success. */
@@ -211,6 +254,9 @@ class Sm
     std::vector<WarpState> warps_;
     std::vector<Scoreboard> boards_;
     std::vector<unsigned> warpInFlight_; ///< packets not yet written back
+    /** Scoreboard blocked the warp's next instruction; nothing can
+     *  change that until one of its packets writes back. */
+    std::vector<std::uint8_t> sbBlocked_;
 
     std::vector<InFlight> oc_;      ///< operand collectors
     std::vector<InFlight> wbQueue_; ///< dispatched, awaiting write-back
@@ -228,6 +274,12 @@ class Sm
     std::vector<unsigned> rrCursor_;   ///< per-scheduler LRR cursor
 
     EventCounts ev_;
+
+    // quiescence (see the file comment)
+    Cycle wakeAt_ = 0;
+    StallCounts quiet_; ///< per-cycle stall counts while asleep
+    std::uint64_t issueAttempts_ = 0;
+    std::uint64_t ticksSkipped_ = 0;
 };
 
 } // namespace gs

@@ -1,0 +1,173 @@
+/**
+ * @file
+ * The event-driven SM core (sim/sm.hpp, "Quiescence"): sleeping SMs and
+ * the global cycle jump in Gpu::launch must give exactly the counters
+ * that ticking every cycle gives. The threaded driver (sim/parallel.*)
+ * still ticks every cycle, so it is the oracle here. The host-work
+ * counters (SimWork) are deterministic and ratcheted.
+ */
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+
+#include "common/log.hpp"
+#include "harness/report.hpp"
+#include "harness/runner.hpp"
+#include "isa/kernel_builder.hpp"
+#include "sim/gpu.hpp"
+#include "sim/parallel.hpp"
+#include "workloads/workload.hpp"
+
+namespace gs
+{
+namespace
+{
+
+/** Restore the --sim-threads default (env consult) on scope exit. */
+struct SimThreadsAtExit
+{
+    ~SimThreadsAtExit() { setSimThreads(0); }
+};
+
+/** Warp 0 of every CTA EXITs; the others wait at a BAR it never
+ *  reaches, so the grid deadlocks and only the watchdog ends it. */
+Workload
+deadlockWorkload()
+{
+    KernelBuilder kb("deadlock");
+    const Reg wid = kb.reg();
+    const Pred first = kb.pred();
+    kb.s2r(wid, SReg::WarpId);
+    kb.isetpi(first, CmpOp::EQ, wid, 0);
+    kb.ifNotThen(first, [&] { kb.bar(); });
+    Workload w;
+    w.name = "deadlock";
+    w.launches.push_back({kb.build(), {2, 64}});
+    return w;
+}
+
+ArchConfig
+deadlockConfig(Cycle max_cycles)
+{
+    ArchConfig cfg;
+    cfg.numSms = 2;
+    cfg.maxCycles = max_cycles;
+    return cfg;
+}
+
+TEST(Quiescence, DeadlockReachesWatchdogWithExtrapolatedCounters)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    const Workload w = deadlockWorkload();
+    const Cycle kFull = ArchConfig{}.maxCycles;
+    const Cycle kShort = 100'000, kStep = 1'000;
+
+    // Ticking oracle: counters at two watchdog limits, both well past
+    // the point where the grid has settled into its deadlock.
+    setSimThreads(2);
+    const RunResult lo = runWorkload(w, deadlockConfig(kShort));
+    const RunResult hi = runWorkload(w, deadlockConfig(kShort + kStep));
+
+    setSimThreads(1);
+    Gpu gpu(deadlockConfig(kFull));
+    const auto t0 = std::chrono::steady_clock::now();
+    const EventCounts ev = gpu.launch(w.launches[0].kernel,
+                                      w.launches[0].dims);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+
+    EXPECT_EQ(ev.cycles, kFull);
+    // Per-cycle rates of the deadlock, extrapolated to the full limit.
+    auto extrapolate = [&](std::uint64_t EventCounts::*f) {
+        const std::uint64_t rate = (hi.ev.*f - lo.ev.*f) / kStep;
+        EXPECT_EQ((hi.ev.*f - lo.ev.*f) % kStep, 0u);
+        return lo.ev.*f + rate * (kFull - kShort);
+    };
+    EXPECT_GT(hi.ev.schedIdleCycles, lo.ev.schedIdleCycles);
+    EXPECT_EQ(ev.schedIdleCycles, extrapolate(&EventCounts::schedIdleCycles));
+    EXPECT_EQ(ev.scoreboardStalls,
+              extrapolate(&EventCounts::scoreboardStalls));
+    EXPECT_EQ(ev.ocFullStalls, extrapolate(&EventCounts::ocFullStalls));
+    EXPECT_EQ(ev.pipeBusyStalls, extrapolate(&EventCounts::pipeBusyStalls));
+    EXPECT_EQ(ev.warpInsts, lo.ev.warpInsts);
+
+    // O(1) in the watchdog limit: a handful of ticks ran, the rest
+    // were credited in one jump.
+    const SimWork &work = gpu.lastLaunchWork();
+    EXPECT_EQ(work.smTicks, kFull * 2);
+    EXPECT_LT(work.smTicksSimulated(), 1000u);
+    // Wall time is reported, never asserted (ticking 200M cycles
+    // would take minutes; the tick count above is the gate).
+    RecordProperty("serial_launch_ms", std::to_string(secs * 1e3));
+}
+
+TEST(Quiescence, DeadlockSerialMatchesThreadedAtWatchdog)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    const Workload w = deadlockWorkload();
+    const ArchConfig cfg = deadlockConfig(100'000);
+
+    setSimThreads(1);
+    const RunResult serial = runWorkload(w, cfg);
+    setSimThreads(2);
+    const RunResult threaded = runWorkload(w, cfg);
+    EXPECT_EQ(serial.ev.cycles, 100'000u);
+    EXPECT_EQ(csvRow(serial), csvRow(threaded));
+}
+
+// The suite-wide serial-vs-threaded test runs GTO only; the skip must
+// also keep LRR's cursor and stall counts exact.
+TEST(Quiescence, LrrSerialMatchesThreaded)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    ArchConfig cfg;
+    cfg.mode = ArchMode::GScalarFull;
+    cfg.schedPolicy = SchedPolicy::LooseRoundRobin;
+    for (const char *name : {"LC", "SR2"}) {
+        setSimThreads(1);
+        const std::string serial = csvRow(runWorkload(name, cfg));
+        setSimThreads(2);
+        EXPECT_EQ(serial, csvRow(runWorkload(name, cfg))) << name;
+    }
+}
+
+// Ratchet on the host work of the suite's MV input in baseline mode.
+// MV spends most SM cycles waiting on memory; before quiescence every
+// one of them was ticked with about 20 issue checks. Lower these
+// bounds when a change does less work; never raise them.
+constexpr double kMvIssueAttemptsPerSmCycle = 0.068; // measured 0.0679
+
+TEST(Quiescence, MvHostWorkRatchet)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    setSimThreads(1);
+    const ArchConfig cfg; // baseline, the suite's input seed
+    const Workload w = makeWorkload("MV");
+    Gpu gpu(cfg);
+    if (w.setup)
+        w.setup(gpu.memory(), cfg.seed);
+    SimWork sum;
+    for (const WorkloadLaunch &l : w.launches) {
+        gpu.launch(l.kernel, l.dims);
+        const SimWork &work = gpu.lastLaunchWork();
+        sum.smTicks += work.smTicks;
+        sum.smTicksSkipped += work.smTicksSkipped;
+        sum.issueAttempts += work.issueAttempts;
+    }
+    ASSERT_GT(sum.smTicks, 0u);
+    const double skipped = double(sum.smTicksSkipped) / sum.smTicks;
+    const double attempts = double(sum.issueAttempts) / sum.smTicks;
+    RecordProperty("skipped_frac", std::to_string(skipped));
+    RecordProperty("issue_attempts_per_sm_cycle", std::to_string(attempts));
+    EXPECT_GE(skipped, 0.80);
+    EXPECT_LE(attempts, kMvIssueAttemptsPerSmCycle);
+}
+
+} // namespace
+} // namespace gs
