@@ -1,82 +1,7 @@
 #include "opcode.hpp"
 
-#include <array>
-
-#include "common/log.hpp"
-
 namespace gs
 {
-
-namespace
-{
-
-constexpr std::size_t kNumOps = static_cast<std::size_t>(Opcode::NumOpcodes);
-
-/**
- * Trait table. Energy units are relative to one FP32 add/multiply
- * (= 1.0), following GPUWattch's component cost ordering: simple
- * integer ops are cheaper, microcoded divide much more expensive, and
- * transcendentals land in the 3-24x band the paper cites for SFU ops.
- */
-constexpr std::array<OpcodeTraits, kNumOps> kTraits = {{
-    // name     pipe             lat               srcs dst   energy
-    {"iadd",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.6},
-    {"isub",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.6},
-    {"imul",   PipeClass::ALU,  LatClass::Mul,    2, true,  1.4},
-    {"imad",   PipeClass::ALU,  LatClass::Mul,    3, true,  1.8},
-    {"idiv",   PipeClass::ALU,  LatClass::Div,    2, true,  8.0},
-    {"irem",   PipeClass::ALU,  LatClass::Div,    2, true,  8.0},
-    {"imin",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.6},
-    {"imax",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.6},
-    {"iabs",   PipeClass::ALU,  LatClass::Simple, 1, true,  0.5},
-    {"and",    PipeClass::ALU,  LatClass::Simple, 2, true,  0.4},
-    {"or",     PipeClass::ALU,  LatClass::Simple, 2, true,  0.4},
-    {"xor",    PipeClass::ALU,  LatClass::Simple, 2, true,  0.4},
-    {"not",    PipeClass::ALU,  LatClass::Simple, 1, true,  0.3},
-    {"shl",    PipeClass::ALU,  LatClass::Simple, 2, true,  0.5},
-    {"shr",    PipeClass::ALU,  LatClass::Simple, 2, true,  0.5},
-    {"fadd",   PipeClass::ALU,  LatClass::Simple, 2, true,  1.0},
-    {"fsub",   PipeClass::ALU,  LatClass::Simple, 2, true,  1.0},
-    {"fmul",   PipeClass::ALU,  LatClass::Simple, 2, true,  1.0},
-    {"ffma",   PipeClass::ALU,  LatClass::Mul,    3, true,  1.8},
-    {"fmin",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.8},
-    {"fmax",   PipeClass::ALU,  LatClass::Simple, 2, true,  0.8},
-    {"fabs",   PipeClass::ALU,  LatClass::Simple, 1, true,  0.4},
-    {"fneg",   PipeClass::ALU,  LatClass::Simple, 1, true,  0.4},
-    {"mov",    PipeClass::ALU,  LatClass::Simple, 1, true,  0.3},
-    {"sel",    PipeClass::ALU,  LatClass::Simple, 2, true,  0.5},
-    {"i2f",    PipeClass::ALU,  LatClass::Simple, 1, true,  0.8},
-    {"f2i",    PipeClass::ALU,  LatClass::Simple, 1, true,  0.8},
-    {"isetp",  PipeClass::ALU,  LatClass::Simple, 2, false, 0.5},
-    {"fsetp",  PipeClass::ALU,  LatClass::Simple, 2, false, 0.6},
-    {"sin",    PipeClass::SFU,  LatClass::Sfu,    1, true,  14.0},
-    {"cos",    PipeClass::SFU,  LatClass::Sfu,    1, true,  14.0},
-    {"ex2",    PipeClass::SFU,  LatClass::Sfu,    1, true,  9.0},
-    {"lg2",    PipeClass::SFU,  LatClass::Sfu,    1, true,  9.0},
-    {"rcp",    PipeClass::SFU,  LatClass::Sfu,    1, true,  6.0},
-    {"rsq",    PipeClass::SFU,  LatClass::Sfu,    1, true,  7.0},
-    {"sqrt",   PipeClass::SFU,  LatClass::Sfu,    1, true,  11.0},
-    {"ldg",    PipeClass::MEM,  LatClass::Mem,    1, true,  0.5},
-    {"stg",    PipeClass::MEM,  LatClass::Mem,    2, false, 0.5},
-    {"lds",    PipeClass::MEM,  LatClass::Mem,    1, true,  0.4},
-    {"sts",    PipeClass::MEM,  LatClass::Mem,    2, false, 0.4},
-    {"bra",    PipeClass::CTRL, LatClass::Ctrl,   0, false, 0.3},
-    {"jmp",    PipeClass::CTRL, LatClass::Ctrl,   0, false, 0.2},
-    {"bar",    PipeClass::CTRL, LatClass::Ctrl,   0, false, 0.2},
-    {"exit",   PipeClass::CTRL, LatClass::Ctrl,   0, false, 0.1},
-    {"s2r",    PipeClass::ALU,  LatClass::Simple, 0, true,  0.3},
-    {"smov",   PipeClass::ALU,  LatClass::Simple, 1, true,  0.3},
-}};
-
-} // namespace
-
-const OpcodeTraits &
-traits(Opcode op)
-{
-    const auto idx = static_cast<std::size_t>(op);
-    GS_ASSERT(idx < kNumOps, "bad opcode ", idx);
-    return kTraits[idx];
-}
 
 std::string_view
 cmpName(CmpOp c)

@@ -964,7 +964,8 @@ GscalarServer::armWrite(Conn &conn, bool on)
     if (conn.wantWrite == on)
         return;
     epoll_event ev{};
-    ev.events = EPOLLIN | (on ? EPOLLOUT : 0);
+    ev.events = on ? std::uint32_t(EPOLLIN | EPOLLOUT)
+                   : std::uint32_t(EPOLLIN);
     ev.data.u64 = conn.id;
     if (::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0)
         conn.wantWrite = on;

@@ -76,10 +76,13 @@ cmpFloat(CmpOp c, float a, float b)
     return false;
 }
 
+/** One lane of a generic ALU/SFU op; a template so each instantiation
+ *  folds its switch away. */
+template <Opcode Op>
 Word
-aluOp(Opcode op, Word a, Word b, Word c)
+aluOp(Word a, Word b, Word c)
 {
-    switch (op) {
+    switch (Op) {
       case Opcode::IADD: return Word(asInt(a) + asInt(b));
       case Opcode::ISUB: return Word(asInt(a) - asInt(b));
       case Opcode::IMUL: return Word(asInt(a) * asInt(b));
@@ -136,7 +139,46 @@ aluOp(Opcode op, Word a, Word b, Word c)
       case Opcode::SQRT:
         return asWord(asFloat(a) >= 0 ? std::sqrt(asFloat(a)) : 0.0f);
       default:
-        GS_PANIC("aluOp on non-ALU opcode ", opcodeName(op));
+        GS_PANIC("aluOp on non-ALU opcode ", opcodeName(Op));
+    }
+}
+
+/** One source operand across the lanes: lane l reads p[l * step]. An
+ *  immediate or an absent operand is a single word with step 0. */
+struct OperandRow
+{
+    const Word *p;
+    std::size_t step;
+
+    Word at(unsigned lane) const { return p[lane * step]; }
+};
+
+constexpr Word kZero = 0;
+constexpr OperandRow kZeroRow{&kZero, 0};
+
+/** Source @p operand of @p inst, with hasImm replacing source 1. */
+OperandRow
+operandRow(const WarpState &warp, const Instruction &inst, unsigned operand)
+{
+    if (operand == 1 && inst.hasImm)
+        return {&inst.imm, 0};
+    return {warp.regValues(inst.src[operand]).data(), 1};
+}
+
+struct AluOperands
+{
+    OperandRow a, b, c;
+};
+
+/** aluOp<Op> over every lane of @p mask: the opcode switch runs once,
+ *  outside the lane loop. */
+template <Opcode Op>
+void
+aluLanes(const AluOperands &o, LaneMask mask, ExecResult &r)
+{
+    for (LaneMask m = mask; m != 0; m &= m - 1) {
+        const unsigned lane = firstLane(m);
+        r.dst[lane] = aluOp<Op>(o.a.at(lane), o.b.at(lane), o.c.at(lane));
     }
 }
 
@@ -265,16 +307,35 @@ executeFunctional(const Instruction &inst, WarpState &warp, LaneMask mask,
         GS_PANIC("control instruction in functional unit");
       default: {
         // Generic 1-3 source ALU/SFU operation.
-        for (unsigned lane = 0; lane < ws; ++lane) {
-            if (!(mask & (LaneMask{1} << lane)))
-                continue;
-            const Word a = srcVal(0, lane);
-            const Word b = traits(inst.op).numSrcs >= 2 ? srcVal(1, lane)
-                                                        : 0;
-            const Word c = traits(inst.op).numSrcs >= 3
-                               ? warp.regValues(inst.src[2])[lane]
-                               : 0;
-            r.dst[lane] = aluOp(inst.op, a, b, c);
+        if (mask == 0) {
+            r.writeMask = 0;
+            break;
+        }
+        const unsigned nsrc = traits(inst.op).numSrcs;
+        const AluOperands ops{
+            operandRow(warp, inst, 0),
+            nsrc >= 2 ? operandRow(warp, inst, 1) : kZeroRow,
+            nsrc >= 3 ? OperandRow{warp.regValues(inst.src[2]).data(), 1}
+                      : kZeroRow};
+        switch (inst.op) {
+#define GS_ALU_CASE(OP)                                                      \
+          case Opcode::OP:                                                   \
+            aluLanes<Opcode::OP>(ops, mask & laneMaskLow(ws), r);            \
+            break;
+          GS_ALU_CASE(IADD) GS_ALU_CASE(ISUB) GS_ALU_CASE(IMUL)
+          GS_ALU_CASE(IMAD) GS_ALU_CASE(IDIV) GS_ALU_CASE(IREM)
+          GS_ALU_CASE(IMIN) GS_ALU_CASE(IMAX) GS_ALU_CASE(IABS)
+          GS_ALU_CASE(AND) GS_ALU_CASE(OR) GS_ALU_CASE(XOR)
+          GS_ALU_CASE(NOT) GS_ALU_CASE(SHL) GS_ALU_CASE(SHR)
+          GS_ALU_CASE(FADD) GS_ALU_CASE(FSUB) GS_ALU_CASE(FMUL)
+          GS_ALU_CASE(FFMA) GS_ALU_CASE(FMIN) GS_ALU_CASE(FMAX)
+          GS_ALU_CASE(FABS) GS_ALU_CASE(FNEG) GS_ALU_CASE(I2F)
+          GS_ALU_CASE(F2I) GS_ALU_CASE(SIN) GS_ALU_CASE(COS)
+          GS_ALU_CASE(EX2) GS_ALU_CASE(LG2) GS_ALU_CASE(RCP)
+          GS_ALU_CASE(RSQ) GS_ALU_CASE(SQRT)
+#undef GS_ALU_CASE
+          default:
+            GS_PANIC("aluOp on non-ALU opcode ", opcodeName(inst.op));
         }
         r.writeMask = mask;
         break;

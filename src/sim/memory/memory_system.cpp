@@ -65,6 +65,15 @@ coalesce(const std::array<Addr, kMaxWarpSize> &addrs, LaneMask mask,
          unsigned line_bytes)
 {
     std::vector<Addr> lines;
+    coalesce(addrs, mask, line_bytes, lines);
+    return lines;
+}
+
+void
+coalesce(const std::array<Addr, kMaxWarpSize> &addrs, LaneMask mask,
+         unsigned line_bytes, std::vector<Addr> &lines)
+{
+    lines.clear();
     for (unsigned lane = 0; lane < kMaxWarpSize; ++lane) {
         if (!(mask & (LaneMask{1} << lane)))
             continue;
@@ -72,7 +81,6 @@ coalesce(const std::array<Addr, kMaxWarpSize> &addrs, LaneMask mask,
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
             lines.push_back(line);
     }
-    return lines;
 }
 
 } // namespace gs

@@ -58,6 +58,10 @@ class MemorySystem
 std::vector<Addr> coalesce(const std::array<Addr, kMaxWarpSize> &addrs,
                            LaneMask mask, unsigned line_bytes);
 
+/** coalesce() into @p lines (cleared first), reusing its buffer. */
+void coalesce(const std::array<Addr, kMaxWarpSize> &addrs, LaneMask mask,
+              unsigned line_bytes, std::vector<Addr> &lines);
+
 } // namespace gs
 
 #endif // GSCALAR_SIM_MEMORY_MEMORY_SYSTEM_HPP

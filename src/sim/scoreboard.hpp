@@ -59,15 +59,23 @@ class Scoreboard
     void
     release(const Instruction &inst)
     {
-        if (inst.writesDst()) {
-            GS_ASSERT(regPending_[unsigned(inst.dst)] > 0,
+        release(inst.writesDst() ? inst.dst : kNoReg, inst.pdst);
+    }
+
+    /** Release the destinations a packet reserved: @p dst (kNoReg when
+     *  it writes no register) and @p pdst (kNoPred when none). */
+    void
+    release(RegIdx dst, PredIdx pdst)
+    {
+        if (dst != kNoReg) {
+            GS_ASSERT(regPending_[unsigned(dst)] > 0,
                       "releasing idle register");
-            --regPending_[unsigned(inst.dst)];
+            --regPending_[unsigned(dst)];
         }
-        if (inst.pdst != kNoPred) {
-            GS_ASSERT(predPending_[unsigned(inst.pdst)] > 0,
+        if (pdst != kNoPred) {
+            GS_ASSERT(predPending_[unsigned(pdst)] > 0,
                       "releasing idle predicate");
-            --predPending_[unsigned(inst.pdst)];
+            --predPending_[unsigned(pdst)];
         }
     }
 

@@ -73,8 +73,21 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
     warps_.resize(maxWarps_);
     boards_.resize(maxWarps_);
     warpInFlight_.assign(maxWarps_, 0);
-    sbBlocked_.assign(maxWarps_, 0);
+    for (SlotSet *set : {&live_, &sbBlocked_, &ocFull_, &candidates_})
+        set->resize(maxWarps_);
+    schedWarps_.resize(cfg.numSchedulers);
+    for (SlotSet &mine : schedWarps_)
+        mine.resize(maxWarps_);
+    for (unsigned w = 0; w < maxWarps_; ++w)
+        schedWarps_[w % cfg.numSchedulers].set(w);
+
     oc_.resize(cfg.numCollectors);
+    for (SlotSet *set : {&ocFree_, &ocPending_, &ocReady_[0], &ocReady_[1],
+                         &ocReady_[2]})
+        set->resize(cfg.numCollectors);
+    for (unsigned c = 0; c < cfg.numCollectors; ++c)
+        ocFree_.set(c);
+    freeCollectors_ = cfg.numCollectors;
     bankFreeAt_.assign(cfg.numBanks, 0);
     scalarBankFreeAt_.assign(cfg.scalarRfBanks, 0);
     l1Mshr_.assign(std::max(cfg.l1MshrEntries, 1u), 0);
@@ -100,12 +113,7 @@ Sm::idle() const
     for (const CtaSlot &s : slots_)
         if (s.active)
             return false;
-    if (!wbQueue_.empty())
-        return false;
-    for (const InFlight &f : oc_)
-        if (f.used)
-            return false;
-    return true;
+    return wbQueue_.empty() && freeCollectors_ == oc_.size();
 }
 
 void
@@ -166,11 +174,9 @@ Sm::nextWake(Cycle now) const
         if (c > now)
             wake = std::min(wake, c);
     };
-    for (const InFlight &f : wbQueue_)
-        after(f.wbAt);
-    for (const InFlight &f : oc_)
-        if (f.used)
-            after(f.collectDone);
+    if (!wbQueue_.empty())
+        after(wbQueue_.front().wbAt);
+    after(nextCollectDone_);
     for (const Pipe *p : {&alu0_, &alu1_, &sfu_, &mem_})
         after(p->freeAt);
     return wake;
@@ -218,7 +224,9 @@ Sm::tryLaunchCtas(Cycle)
             boards_[slot.warpBase + w].init(kernel_.numRegs,
                                             kernel_.numPreds);
             warpInFlight_[slot.warpBase + w] = 0;
-            sbBlocked_[slot.warpBase + w] = 0;
+            live_.set(slot.warpBase + w);
+            sbBlocked_.reset(slot.warpBase + w);
+            ocFull_.reset(slot.warpBase + w);
         }
         return true; // one launch per cycle
     }
@@ -228,6 +236,9 @@ Sm::tryLaunchCtas(Cycle)
 bool
 Sm::retireCtas(Cycle)
 {
+    if (!retireDue_)
+        return false;
+    retireDue_ = false;
     bool retired = false;
     for (CtaSlot &slot : slots_) {
         if (!slot.active)
@@ -259,49 +270,27 @@ Sm::scheduleIssue(Cycle now)
 {
     bool any_issued = false;
     for (unsigned s = 0; s < cfg_.numSchedulers; ++s) {
+        const SlotSet &mine = schedWarps_[s];
+        bool saw_live_warp = false;
+        bool any_unflagged = false;
+        candidates_.assign([&](unsigned k) {
+            const std::uint64_t live = live_.word(k) & mine.word(k);
+            const std::uint64_t cand = live & ~sbBlocked_.word(k);
+            saw_live_warp |= live != 0;
+            any_unflagged |= (cand & ~ocFull_.word(k)) != 0;
+            return cand;
+        });
+
         bool issued = false;
-        bool saw_ready_warp = false;
-
-        auto tryWarp = [&](unsigned w) -> bool {
-            WarpState &ws = warps_[w];
-            if (ws.ctaSlot < 0 || ws.done() || ws.atBarrier)
-                return false;
-            saw_ready_warp = true;
-            return !sbBlocked_[w] && issueWarp(w, now);
-        };
-
-        if (cfg_.schedPolicy == SchedPolicy::GreedyThenOldest) {
-            const unsigned fav = greedyWarp_[s];
-            if (fav < maxWarps_ && fav % cfg_.numSchedulers == s &&
-                tryWarp(fav)) {
-                issued = true;
-            } else {
-                for (unsigned w = s; w < maxWarps_;
-                     w += cfg_.numSchedulers) {
-                    if (w != fav && tryWarp(w)) {
-                        greedyWarp_[s] = w;
-                        issued = true;
-                        break;
-                    }
-                }
-            }
+        if (freeCollectors_ == 0 && !any_unflagged) {
+            // Each candidate would only count an oc-full stall again.
+            ev_.ocFullStalls += candidates_.count();
         } else {
-            const unsigned count =
-                (maxWarps_ + cfg_.numSchedulers - 1 - s) /
-                cfg_.numSchedulers;
-            for (unsigned k = 0; k < count; ++k) {
-                const unsigned slot_k = (rrCursor_[s] + k) % count;
-                const unsigned w = s + slot_k * cfg_.numSchedulers;
-                if (tryWarp(w)) {
-                    rrCursor_[s] = (slot_k + 1) % count;
-                    issued = true;
-                    break;
-                }
-            }
+            issued = issueFromCandidates(s, now);
         }
 
         if (!issued) {
-            if (saw_ready_warp)
+            if (saw_live_warp)
                 ++ev_.scoreboardStalls;
             else
                 ++ev_.schedIdleCycles;
@@ -309,6 +298,56 @@ Sm::scheduleIssue(Cycle now)
         any_issued |= issued;
     }
     return any_issued;
+}
+
+bool
+Sm::issueFromCandidates(unsigned s, Cycle now)
+{
+    auto tryWarp = [&](unsigned w) -> bool {
+        // Collectors never free during issue: while none is, a warp
+        // that found them all busy would find so again.
+        if (freeCollectors_ == 0 && ocFull_.test(w)) {
+            ++ev_.ocFullStalls;
+            return false;
+        }
+        if (!issueWarp(w, now))
+            return false;
+        ocFull_.reset(w);
+        return true;
+    };
+    constexpr unsigned kNone = SlotSet::kNone;
+    const SlotSet &cand = candidates_;
+
+    if (cfg_.schedPolicy == SchedPolicy::GreedyThenOldest) {
+        // The favourite first, then the oldest (lowest) slot.
+        const unsigned fav = greedyWarp_[s];
+        if (fav < maxWarps_ && cand.test(fav) && tryWarp(fav))
+            return true;
+        for (unsigned w = cand.next(0); w != kNone; w = cand.next(w + 1)) {
+            if (w != fav && tryWarp(w)) {
+                greedyWarp_[s] = w;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    // Loose round-robin over the scheduler's slots s, s + S, s + 2S...:
+    // from the cursor's slot to the end, then wrap.
+    const unsigned nsched = cfg_.numSchedulers;
+    const unsigned count = (maxWarps_ + nsched - 1 - s) / nsched;
+    const unsigned start = s + rrCursor_[s] * nsched;
+    auto issuedAt = [&](unsigned w) {
+        rrCursor_[s] = ((w - s) / nsched + 1) % count;
+        return true;
+    };
+    for (unsigned w = cand.next(start); w != kNone; w = cand.next(w + 1))
+        if (tryWarp(w))
+            return issuedAt(w);
+    for (unsigned w = cand.next(0); w < start; w = cand.next(w + 1))
+        if (tryWarp(w))
+            return issuedAt(w);
+    return false;
 }
 
 bool
@@ -530,6 +569,7 @@ Sm::executeControl(unsigned w, const Instruction &inst, Cycle)
         GS_ASSERT(ws.ctaSlot >= 0, "barrier on idle warp");
         CtaSlot &slot = slots_[unsigned(ws.ctaSlot)];
         ws.atBarrier = true;
+        live_.reset(w);
         ++slot.barrierArrived;
         if (slot.barrierArrived == slot.numWarps) {
             slot.barrierArrived = 0;
@@ -537,12 +577,15 @@ Sm::executeControl(unsigned w, const Instruction &inst, Cycle)
                 WarpState &peer = warps_[slot.warpBase + i];
                 peer.atBarrier = false;
                 peer.stack().advance(peer.stack().pc() + 1);
+                live_.set(slot.warpBase + i);
             }
         }
         break;
       }
       case Opcode::EXIT:
         st.exit();
+        live_.reset(w);
+        retireDue_ = true;
         break;
       default:
         GS_PANIC("not a control opcode: ", opcodeName(inst.op));
@@ -560,7 +603,7 @@ Sm::issueWarp(unsigned w, Cycle now)
     ++issueAttempts_;
 
     if (!boards_[w].ready(real)) {
-        sbBlocked_[w] = 1;
+        sbBlocked_.set(w);
         return false;
     }
 
@@ -586,22 +629,16 @@ Sm::issueWarp(unsigned w, Cycle now)
         return true;
     }
 
+    // Both the SMOV and the real instruction need a collector.
+    if (freeCollectors_ == 0) {
+        ++ev_.ocFullStalls;
+        ocFull_.set(w);
+        return false;
+    }
+
     // §3.3: a divergent write to a compressed register first needs the
     // special decompress-in-place move.
     const bool smov = needsSpecialMove(ws, real, mask, pc);
-
-    // Both the SMOV and the real instruction need a collector.
-    InFlight *slot = nullptr;
-    for (InFlight &f : oc_) {
-        if (!f.used) {
-            slot = &f;
-            break;
-        }
-    }
-    if (!slot) {
-        ++ev_.ocFullStalls;
-        return false;
-    }
 
     Instruction inst;
     if (smov) {
@@ -619,7 +656,8 @@ Sm::issueWarp(unsigned w, Cycle now)
     bool exec_half = false;
     if (!smov) {
         std::array<RegMeta, 3> srcs{};
-        const unsigned nsrc = inst.numSrcRegs();
+        const unsigned nsrc =
+            std::min(inst.numSrcRegs(), unsigned(inst.src.size()));
         for (unsigned i = 0; i < nsrc; ++i)
             srcs[i] = ws.meta(inst.src[i]);
 
@@ -832,42 +870,41 @@ Sm::issueWarp(unsigned w, Cycle now)
         }
     }
 
-    // ---- create the in-flight packet ------------------------------------------
-    slot->used = true;
-    slot->warp = w;
-    slot->inst = inst;
-    slot->mask = exec_mask;
-    slot->isSmov = smov;
-    slot->dispatched = false;
-    slot->execScalar = exec_scalar;
-    slot->scalarGroupMask = elig.scalarGroupMask;
-    slot->memLines.clear();
-    slot->isStore = isStore(inst.op);
-    slot->isShared = inst.op == Opcode::LDS || inst.op == Opcode::STS;
+    // ---- fill the lowest free operand collector -------------------------------
+    const unsigned c = ocFree_.next(0);
+    ocFree_.reset(c);
+    --freeCollectors_;
+    Collector &col = oc_[c];
+    col.warp = w;
+    col.inst = inst;
+    col.execScalar = exec_scalar;
+    col.isStore = isStore(inst.op);
+    col.isShared = inst.op == Opcode::LDS || inst.op == Opcode::STS;
     if (inst.pipe() == PipeClass::MEM) {
-        if (slot->isShared) {
+        if (col.isShared) {
             ++ev_.sharedAccesses;
             // Bank conflict degree: distinct words per bank, maximised
             // over banks; identical words broadcast conflict-free.
-            std::vector<std::pair<unsigned, Addr>> uniq;
+            std::array<std::pair<unsigned, Addr>, kMaxWarpSize> uniq;
+            unsigned nuniq = 0;
             for (unsigned lane = 0; lane < cfg_.warpSize; ++lane) {
                 if (!(exec_mask & (LaneMask{1} << lane)))
                     continue;
                 const Addr word = res.addrs[lane] / kBytesPerWord;
-                const unsigned bank = unsigned(word % cfg_.sharedBanks);
-                if (std::find(uniq.begin(), uniq.end(),
-                              std::make_pair(bank, word)) == uniq.end())
-                    uniq.emplace_back(bank, word);
+                const auto key =
+                    std::make_pair(unsigned(word % cfg_.sharedBanks), word);
+                if (std::find(uniq.begin(), uniq.begin() + nuniq, key) ==
+                    uniq.begin() + nuniq)
+                    uniq[nuniq++] = key;
             }
             unsigned degree = 1;
             std::array<unsigned, kMaxWarpSize> per_bank{};
-            for (const auto &[bank, word] : uniq)
-                degree = std::max(degree, ++per_bank[bank]);
-            slot->sharedConflictDegree = degree;
+            for (unsigned i = 0; i < nuniq; ++i)
+                degree = std::max(degree, ++per_bank[uniq[i].first]);
+            col.sharedConflictDegree = degree;
         } else {
-            slot->memLines =
-                coalesce(res.addrs, exec_mask, cfg_.lineBytes);
-            ev_.memRequests += slot->memLines.size();
+            coalesce(res.addrs, exec_mask, cfg_.lineBytes, col.memLines);
+            ev_.memRequests += col.memLines.size();
         }
     }
 
@@ -891,8 +928,9 @@ Sm::issueWarp(unsigned w, Cycle now)
         usesByteMaskCompression(cfg_.mode) ? codecCaps_.extraFrontCycles
         : usesBdiCompression(cfg_.mode)    ? 2u
                                            : 0u;
-    slot->collectDone =
-        std::max<Cycle>(last_grant, now + 1) + extra_front;
+    col.collectDone = std::max<Cycle>(last_grant, now + 1) + extra_front;
+    ocPending_.set(c);
+    nextCollectDone_ = std::min(nextCollectDone_, col.collectDone);
 
     boards_[w].reserve(inst);
     ++warpInFlight_[w];
@@ -907,7 +945,7 @@ Sm::issueWarp(unsigned w, Cycle now)
 // --------------------------------------------------------------------------
 
 unsigned
-Sm::occupancyCycles(const InFlight &f) const
+Sm::occupancyCycles(const Collector &f) const
 {
     if (f.execScalar && cfg_.scalarShortensOccupancy)
         return 1; // §6: a scalar instruction can issue in one cycle
@@ -917,7 +955,7 @@ Sm::occupancyCycles(const InFlight &f) const
 }
 
 Cycle
-Sm::memoryCompletion(InFlight &f, Cycle start)
+Sm::memoryCompletion(const Collector &f, Cycle start)
 {
     if (f.isShared) {
         // Bank conflicts serialise the access (§2.1-style shared
@@ -960,63 +998,94 @@ Sm::memoryCompletion(InFlight &f, Cycle start)
     return done;
 }
 
+void
+Sm::promoteCollected(Cycle now)
+{
+    Cycle next = kNoWake;
+    for (unsigned c = ocPending_.next(0); c != SlotSet::kNone;
+         c = ocPending_.next(c + 1)) {
+        const Collector &f = oc_[c];
+        if (f.collectDone <= now) {
+            ocPending_.reset(c);
+            ocReady_[unsigned(f.inst.pipe())].set(c);
+        } else {
+            next = std::min(next, f.collectDone);
+        }
+    }
+    nextCollectDone_ = next;
+}
+
+void
+Sm::dispatch(unsigned c, Pipe &pipe, Cycle now)
+{
+    const Collector &f = oc_[c];
+    const unsigned occ = occupancyCycles(f);
+    pipe.freeAt = now + occ;
+
+    const unsigned extra_wb = cfg_.extraCycles() > 0 ? 1u : 0u;
+    Cycle wb;
+    if (f.inst.pipe() == PipeClass::MEM) {
+        wb = memoryCompletion(f, now + occ);
+    } else {
+        unsigned lat = cfg_.aluLatency;
+        switch (traits(f.inst.op).lat) {
+          case LatClass::Simple: lat = cfg_.aluLatency; break;
+          case LatClass::Mul: lat = cfg_.mulLatency; break;
+          case LatClass::Div: lat = cfg_.divLatency; break;
+          case LatClass::Sfu: lat = cfg_.sfuLatency; break;
+          default: break;
+        }
+        wb = now + occ + lat;
+    }
+    wbQueue_.push_back({wb + extra_wb, f.warp,
+                        f.inst.writesDst() ? f.inst.dst : kNoReg,
+                        f.inst.pdst});
+    std::push_heap(wbQueue_.begin(), wbQueue_.end(), laterWb);
+
+    ocReady_[unsigned(f.inst.pipe())].reset(c);
+    ocFree_.set(c);
+    ++freeCollectors_;
+}
+
 bool
 Sm::dispatchReady(Cycle now)
 {
+    if (nextCollectDone_ <= now)
+        promoteCollected(now);
+
+    // Per pipe class, the first ready collectors in cursor order take
+    // the free pipes; every other ready one is a pipe-busy stall.
     bool dispatched = false;
     const unsigned n = unsigned(oc_.size());
-    for (unsigned k = 0; k < n; ++k) {
-        InFlight &f = oc_[(ocRotate_ + k) % n];
-        if (!f.used || f.collectDone > now)
+    for (const PipeClass cls :
+         {PipeClass::ALU, PipeClass::SFU, PipeClass::MEM}) {
+        const SlotSet &ready = ocReady_[unsigned(cls)];
+        const unsigned waiting = ready.count();
+        if (waiting == 0)
             continue;
 
-        Pipe *pipe = nullptr;
-        switch (f.inst.pipe()) {
-          case PipeClass::ALU:
-            if (alu0_.freeAt <= now)
-                pipe = &alu0_;
-            else if (alu1_.freeAt <= now)
-                pipe = &alu1_;
-            break;
-          case PipeClass::SFU:
-            if (sfu_.freeAt <= now)
-                pipe = &sfu_;
-            break;
-          case PipeClass::MEM:
-            if (mem_.freeAt <= now)
-                pipe = &mem_;
-            break;
-          case PipeClass::CTRL:
-            GS_PANIC("control instruction in a collector");
-        }
-        if (!pipe) {
-            ++ev_.pipeBusyStalls;
-            continue;
+        std::array<Pipe *, 2> pipes{};
+        unsigned free_pipes = 0;
+        auto offer = [&](Pipe &p) {
+            if (p.freeAt <= now)
+                pipes[free_pipes++] = &p;
+        };
+        switch (cls) {
+          case PipeClass::ALU: offer(alu0_); offer(alu1_); break;
+          case PipeClass::SFU: offer(sfu_); break;
+          default: offer(mem_); break;
         }
 
-        const unsigned occ = occupancyCycles(f);
-        pipe->freeAt = now + occ;
-
-        const unsigned extra_wb = cfg_.extraCycles() > 0 ? 1u : 0u;
-        Cycle wb;
-        if (f.inst.pipe() == PipeClass::MEM) {
-            wb = memoryCompletion(f, now + occ);
-        } else {
-            unsigned lat = cfg_.aluLatency;
-            switch (traits(f.inst.op).lat) {
-              case LatClass::Simple: lat = cfg_.aluLatency; break;
-              case LatClass::Mul: lat = cfg_.mulLatency; break;
-              case LatClass::Div: lat = cfg_.divLatency; break;
-              case LatClass::Sfu: lat = cfg_.sfuLatency; break;
-              default: break;
-            }
-            wb = now + occ + lat;
-        }
-        f.wbAt = wb + extra_wb;
-        f.dispatched = true;
-        wbQueue_.push_back(std::move(f));
-        f = InFlight{}; // free the collector slot
-        dispatched = true;
+        const unsigned take = std::min(waiting, free_pipes);
+        unsigned taken = 0;
+        for (unsigned c = ready.next(ocRotate_);
+             taken < take && c != SlotSet::kNone; c = ready.next(c + 1))
+            dispatch(c, *pipes[taken++], now);
+        for (unsigned c = ready.next(0); taken < take && c < ocRotate_;
+             c = ready.next(c + 1))
+            dispatch(c, *pipes[taken++], now);
+        ev_.pipeBusyStalls += waiting - taken;
+        dispatched |= taken > 0;
     }
     ocRotate_ = (ocRotate_ + 1) % n;
     return dispatched;
@@ -1025,21 +1094,25 @@ Sm::dispatchReady(Cycle now)
 bool
 Sm::writeback(Cycle now)
 {
-    const std::size_t queued = wbQueue_.size();
-    for (std::size_t i = 0; i < wbQueue_.size();) {
-        InFlight &f = wbQueue_[i];
-        if (f.wbAt <= now) {
-            boards_[f.warp].release(f.inst);
-            sbBlocked_[f.warp] = 0;
-            GS_ASSERT(warpInFlight_[f.warp] > 0, "in-flight underflow");
-            --warpInFlight_[f.warp];
-            wbQueue_[i] = std::move(wbQueue_.back());
-            wbQueue_.pop_back();
-        } else {
-            ++i;
+    bool wrote_back = false;
+    while (!wbQueue_.empty() && wbQueue_.front().wbAt <= now) {
+        std::pop_heap(wbQueue_.begin(), wbQueue_.end(), laterWb);
+        const WbEntry e = wbQueue_.back();
+        wbQueue_.pop_back();
+        wrote_back = true;
+
+        boards_[e.warp].release(e.dst, e.pdst);
+        GS_ASSERT(warpInFlight_[e.warp] > 0, "in-flight underflow");
+        if (--warpInFlight_[e.warp] == 0 && warps_[e.warp].done())
+            retireDue_ = true;
+        // Readiness only improves here: re-check a blocked warp.
+        if (sbBlocked_.test(e.warp)) {
+            const int pc = warps_[e.warp].stack().pc();
+            if (boards_[e.warp].ready(kernel_.code[std::size_t(pc)]))
+                sbBlocked_.reset(e.warp);
         }
     }
-    return wbQueue_.size() != queued;
+    return wrote_back;
 }
 
 } // namespace gs

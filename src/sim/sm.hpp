@@ -18,13 +18,30 @@
  * stall counts, and Gpu::launch jumps over cycles in which every SM
  * sleeps. Any new time-dependent predicate in tick()'s phases must be
  * added as a wake event in nextWake(), or the skip becomes wrong.
- * Warps whose scoreboard blocked their next instruction are memoised
- * until one of their packets writes back.
+ *
+ * Issuable sets and memos: an awake tick visits only warps and
+ * collectors that can change something.
+ *  - live_ (resident, not done, not at a barrier) is set at CTA launch
+ *    and barrier release and cleared at BAR arrival and EXIT. Any new
+ *    way of making a warp issuable or not issuable must update it.
+ *  - sbBlocked_ holds warps whose next instruction failed the
+ *    scoreboard; a write-back of the warp re-checks it, since
+ *    readiness only improves at write-back.
+ *  - ocFull_ holds warps whose next instruction passed the scoreboard
+ *    and found every collector busy; collectors never free during the
+ *    issue phase, so while none is free such a warp only counts an
+ *    oc-full stall.
+ *  - Collectors sit in one free, pending or per-pipe-class ready set;
+ *    dispatch takes ready collectors in cursor order and counts the
+ *    rest as pipe-busy stalls. Write-backs wait in a min-heap.
+ * Scheduler walks and stall counts are exactly those of a scan over
+ * every warp slot and collector.
  */
 
 #ifndef GSCALAR_SIM_SM_HPP
 #define GSCALAR_SIM_SM_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -40,6 +57,7 @@
 #include "memory/memory_system.hpp"
 #include "scalar/eligibility.hpp"
 #include "scoreboard.hpp"
+#include "slot_set.hpp"
 #include "trace.hpp"
 #include "warp_state.hpp"
 
@@ -155,30 +173,33 @@ class Sm
         std::vector<Word> shared;
     };
 
-    /** An instruction in flight between issue and write-back. */
-    struct InFlight
+    /** An operand collector: an instruction between issue and
+     *  dispatch. */
+    struct Collector
     {
-        bool used = false;
         unsigned warp = 0;
         Instruction inst;
-        LaneMask mask = 0;
-        bool isSmov = false;
 
         /** When the last scheduled bank read completes (+pipe depth). */
         Cycle collectDone = 0;
-
-        // execution
-        bool dispatched = false;
-        Cycle wbAt = 0;
         bool execScalar = false;
-        unsigned scalarGroupMask = 0;
 
-        // memory operation payload (coalesced line addresses)
+        // memory operation payload (coalesced line addresses; the
+        // buffer is reused across the collector's packets)
         std::vector<Addr> memLines;
         bool isStore = false;
         bool isShared = false;
         /** Worst-bank serialisation degree of a shared access. */
         unsigned sharedConflictDegree = 1;
+    };
+
+    /** A dispatched packet awaiting write-back: what it releases. */
+    struct WbEntry
+    {
+        Cycle wbAt = 0;
+        unsigned warp = 0;
+        RegIdx dst = kNoReg;    ///< kNoReg: the packet writes no register
+        PredIdx pdst = kNoPred; ///< kNoPred: it writes no predicate
     };
 
     struct Pipe
@@ -206,6 +227,9 @@ class Sm
     Cycle nextWake(Cycle now) const;
 
     // ---- issue helpers -------------------------------------------------------
+    /** Issue from the first warp of candidates_ that can, in scheduler
+     *  @p s's policy order; true on success. */
+    bool issueFromCandidates(unsigned s, Cycle now);
     /** Attempt to issue from @p warp; true on success. */
     bool issueWarp(unsigned warp, Cycle now);
     void executeControl(unsigned warp, const Instruction &inst, Cycle now);
@@ -216,8 +240,21 @@ class Sm
     void accountRegWrite(const RegMeta &before, const RegMeta &after,
                          bool scalar_to_bvr);
     int bankOf(unsigned warp, RegIdx reg) const;
-    unsigned occupancyCycles(const InFlight &f) const;
-    Cycle memoryCompletion(InFlight &f, Cycle start);
+
+    // ---- dispatch helpers ----------------------------------------------------
+    /** Move pending collectors whose operands are in by @p now to the
+     *  ready sets. */
+    void promoteCollected(Cycle now);
+    /** Send collector @p c to @p pipe and queue its write-back. */
+    void dispatch(unsigned c, Pipe &pipe, Cycle now);
+    unsigned occupancyCycles(const Collector &f) const;
+    Cycle memoryCompletion(const Collector &f, Cycle start);
+    /** Heap order of wbQueue_: earliest write-back on top. */
+    static bool
+    laterWb(const WbEntry &a, const WbEntry &b)
+    {
+        return a.wbAt > b.wbAt;
+    }
 
     // ---- members ----------------------------------------------------------------
     const ArchConfig &cfg_;
@@ -254,13 +291,28 @@ class Sm
     std::vector<WarpState> warps_;
     std::vector<Scoreboard> boards_;
     std::vector<unsigned> warpInFlight_; ///< packets not yet written back
-    /** Scoreboard blocked the warp's next instruction; nothing can
-     *  change that until one of its packets writes back. */
-    std::vector<std::uint8_t> sbBlocked_;
 
-    std::vector<InFlight> oc_;      ///< operand collectors
-    std::vector<InFlight> wbQueue_; ///< dispatched, awaiting write-back
-    unsigned ocRotate_ = 0;         ///< dispatch round-robin cursor
+    // issuable sets over warp slots (see the file comment)
+    SlotSet live_;      ///< resident, not done, not at a barrier
+    SlotSet sbBlocked_; ///< next instruction failed the scoreboard
+    SlotSet ocFull_;    ///< next instruction found every collector busy
+    std::vector<SlotSet> schedWarps_; ///< per scheduler: its warp slots
+    SlotSet candidates_; ///< scratch: live & ~sbBlocked & one scheduler
+
+    std::vector<Collector> oc_; ///< operand collectors
+    SlotSet ocFree_;    ///< collectors holding no instruction
+    unsigned freeCollectors_ = 0;
+    SlotSet ocPending_; ///< collecting operands until their collectDone
+    /** Operands collected, waiting for a pipe; one set per pipe class
+     *  (ALU, SFU, MEM). */
+    std::array<SlotSet, 3> ocReady_;
+    Cycle nextCollectDone_ = kNoWake; ///< earliest collectDone pending
+    unsigned ocRotate_ = 0; ///< dispatch round-robin cursor
+
+    std::vector<WbEntry> wbQueue_; ///< min-heap on wbAt (laterWb)
+    /** This tick saw an EXIT or a finished warp's last write-back, the
+     *  only events that can complete a CTA. */
+    bool retireDue_ = false;
 
     std::vector<Cycle> bankFreeAt_;       ///< one read port per bank
     std::vector<Cycle> scalarBankFreeAt_; ///< prior-work scalar RF ports

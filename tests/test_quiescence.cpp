@@ -136,30 +136,40 @@ TEST(Quiescence, LrrSerialMatchesThreaded)
     }
 }
 
+/** Run every launch of @p name serially; its summed host work and
+ *  counters. */
+SimWork
+launchWork(const std::string &name, const ArchConfig &cfg,
+           EventCounts &ev)
+{
+    const Workload w = makeWorkload(name);
+    Gpu gpu(cfg);
+    if (w.setup)
+        w.setup(gpu.memory(), cfg.seed);
+    SimWork sum;
+    for (const WorkloadLaunch &l : w.launches) {
+        ev += gpu.launch(l.kernel, l.dims);
+        const SimWork &work = gpu.lastLaunchWork();
+        sum.smTicks += work.smTicks;
+        sum.smTicksSkipped += work.smTicksSkipped;
+        sum.issueAttempts += work.issueAttempts;
+    }
+    return sum;
+}
+
 // Ratchet on the host work of the suite's MV input in baseline mode.
 // MV spends most SM cycles waiting on memory; before quiescence every
 // one of them was ticked with about 20 issue checks. Lower these
 // bounds when a change does less work; never raise them.
-constexpr double kMvIssueAttemptsPerSmCycle = 0.068; // measured 0.0679
+constexpr double kMvIssueAttemptsPerSmCycle = 0.057; // measured 0.0564
 
 TEST(Quiescence, MvHostWorkRatchet)
 {
     setQuiet(true);
     SimThreadsAtExit restore;
     setSimThreads(1);
-    const ArchConfig cfg; // baseline, the suite's input seed
-    const Workload w = makeWorkload("MV");
-    Gpu gpu(cfg);
-    if (w.setup)
-        w.setup(gpu.memory(), cfg.seed);
-    SimWork sum;
-    for (const WorkloadLaunch &l : w.launches) {
-        gpu.launch(l.kernel, l.dims);
-        const SimWork &work = gpu.lastLaunchWork();
-        sum.smTicks += work.smTicks;
-        sum.smTicksSkipped += work.smTicksSkipped;
-        sum.issueAttempts += work.issueAttempts;
-    }
+    EventCounts ev;
+    const SimWork sum = launchWork("MV", ArchConfig{}, ev);
     ASSERT_GT(sum.smTicks, 0u);
     const double skipped = double(sum.smTicksSkipped) / sum.smTicks;
     const double attempts = double(sum.issueAttempts) / sum.smTicks;
@@ -167,6 +177,31 @@ TEST(Quiescence, MvHostWorkRatchet)
     RecordProperty("issue_attempts_per_sm_cycle", std::to_string(attempts));
     EXPECT_GE(skipped, 0.80);
     EXPECT_LE(attempts, kMvIssueAttemptsPerSmCycle);
+}
+
+// Suite-wide ratchet: issue checks (Sm::issueWarp calls) per issued
+// warp instruction over all 17 workloads in baseline mode at the
+// suite's input seed. The issuable-warp sets and the collector-full
+// memo skip warps that cannot issue; lower this bound when a change
+// does less work, never raise it.
+constexpr double kSuiteIssueAttemptsPerIssuedInst = 1.632; // measured 1.6318
+
+TEST(Quiescence, SuiteHostWorkRatchet)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    setSimThreads(1);
+    EventCounts ev;
+    std::uint64_t attempts = 0;
+    for (const std::string &name : workloadNames())
+        attempts += launchWork(name, ArchConfig{}, ev).issueAttempts;
+    ASSERT_GT(ev.issuedInsts, 0u);
+    const double per_inst = double(attempts) / double(ev.issuedInsts);
+    RecordProperty("issue_attempts", std::to_string(attempts));
+    RecordProperty("issued_insts", std::to_string(ev.issuedInsts));
+    RecordProperty("issue_attempts_per_issued_inst",
+                   std::to_string(per_inst));
+    EXPECT_LE(per_inst, kSuiteIssueAttemptsPerIssuedInst);
 }
 
 } // namespace
