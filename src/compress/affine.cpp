@@ -31,12 +31,24 @@ analyzeAffine(std::span<const Word> values, LaneMask active)
     const Word stride = gap > 1 ? diff / gap : diff;
     const Word base = values[first] - stride * first;
 
-    for (unsigned lane = 0; lane < values.size(); ++lane) {
-        if (!(active & (LaneMask{1} << lane)))
-            continue;
-        if (values[lane] != base + stride * lane)
-            return info;
+    // OR of every compared lane's XOR against the ramp: zero iff all
+    // lanes lie on it.
+    Word off_ramp = 0;
+    const unsigned lanes = unsigned(values.size());
+    const LaneMask all = laneMaskLow(lanes);
+    if ((active & all) == all) {
+        // Non-divergent write: no per-lane mask test.
+        Word expect = base;
+        for (unsigned lane = 0; lane < lanes; ++lane, expect += stride)
+            off_ramp |= values[lane] ^ expect;
+    } else {
+        for (LaneMask m = active & all; m != 0; m &= m - 1) {
+            const unsigned lane = firstLane(m);
+            off_ramp |= values[lane] ^ (base + stride * lane);
+        }
     }
+    if (off_ramp != 0)
+        return info;
     info.affine = true;
     info.base = base;
     info.stride = stride;

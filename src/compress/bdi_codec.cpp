@@ -1,6 +1,6 @@
 #include "bdi_codec.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/bit_utils.hpp"
 #include "common/log.hpp"
@@ -21,6 +21,19 @@ bdiStoredBytes(BdiMode mode, unsigned lanes)
     return kBytesPerWord * lanes;
 }
 
+namespace
+{
+
+/** |int32(v - base)|, exact for every pair (2^31 fits unsigned). */
+inline std::uint32_t
+absDelta(Word v, Word base)
+{
+    const Word d = v - base;
+    return std::int32_t(d) < 0 ? Word(0) - d : d;
+}
+
+} // namespace
+
 BdiEncoding
 analyzeBdi(std::span<const Word> values, LaneMask active)
 {
@@ -29,28 +42,33 @@ analyzeBdi(std::span<const Word> values, LaneMask active)
     const unsigned base_lane = firstLane(active);
     GS_ASSERT(base_lane < values.size(), "active mask exceeds lane count");
     const Word base = values[base_lane];
+    const unsigned lanes = unsigned(values.size());
 
-    bool all_zero = true;
-    bool all_same = true;
-    std::int64_t max_abs_delta = 0;
-
-    for (unsigned lane = 0; lane < values.size(); ++lane) {
-        if (!(active & (LaneMask{1} << lane)))
-            continue;
-        const Word v = values[lane];
-        all_zero &= (v == 0);
-        all_same &= (v == base);
-        const std::int64_t delta = std::int64_t(std::int32_t(v - base));
-        max_abs_delta =
-            std::max(max_abs_delta, std::int64_t(std::llabs(delta)));
+    // OR of the compared words (zero test), OR of their XOR against the
+    // base (all-same test) and the largest |delta|.
+    Word any_bits = 0;
+    Word any_diff = 0;
+    std::uint32_t max_abs_delta = 0;
+    auto visit = [&](Word v) {
+        any_bits |= v;
+        any_diff |= v ^ base;
+        max_abs_delta = std::max(max_abs_delta, absDelta(v, base));
+    };
+    const LaneMask all = laneMaskLow(lanes);
+    if ((active & all) == all) {
+        // Non-divergent write: no per-lane mask test.
+        for (const Word v : values)
+            visit(v);
+    } else {
+        for (LaneMask m = active & all; m != 0; m &= m - 1)
+            visit(values[firstLane(m)]);
     }
 
     BdiEncoding e;
     e.base = base;
-    const unsigned lanes = unsigned(values.size());
-    if (all_zero) {
+    if (any_bits == 0) {
         e.mode = BdiMode::Zero;
-    } else if (all_same) {
+    } else if (any_diff == 0) {
         e.mode = BdiMode::Scalar;
     } else if (max_abs_delta < 128) {
         e.mode = BdiMode::BaseDelta1;

@@ -47,6 +47,13 @@ asInt(Word w)
     return static_cast<std::int32_t>(w);
 }
 
+/** |a| of a signed word; INT32_MIN maps to itself, as on hardware. */
+Word
+absWord(Word a)
+{
+    return asInt(a) < 0 ? Word(0) - a : a;
+}
+
 /** Integer comparison. */
 bool
 cmpInt(CmpOp c, std::int32_t a, std::int32_t b)
@@ -83,10 +90,11 @@ Word
 aluOp(Word a, Word b, Word c)
 {
     switch (Op) {
-      case Opcode::IADD: return Word(asInt(a) + asInt(b));
-      case Opcode::ISUB: return Word(asInt(a) - asInt(b));
-      case Opcode::IMUL: return Word(asInt(a) * asInt(b));
-      case Opcode::IMAD: return Word(asInt(a) * asInt(b) + asInt(c));
+      // Two's-complement wrap-around, computed unsigned (no UB).
+      case Opcode::IADD: return a + b;
+      case Opcode::ISUB: return a - b;
+      case Opcode::IMUL: return a * b;
+      case Opcode::IMAD: return a * b + c;
       case Opcode::IDIV:
         if (b == 0 || (asInt(a) == INT32_MIN && asInt(b) == -1))
             return b == 0 ? 0 : a;
@@ -97,7 +105,7 @@ aluOp(Word a, Word b, Word c)
         return Word(asInt(a) % asInt(b));
       case Opcode::IMIN: return Word(std::min(asInt(a), asInt(b)));
       case Opcode::IMAX: return Word(std::max(asInt(a), asInt(b)));
-      case Opcode::IABS: return Word(std::abs(asInt(a)));
+      case Opcode::IABS: return absWord(a);
       case Opcode::AND: return a & b;
       case Opcode::OR: return a | b;
       case Opcode::XOR: return a ^ b;
@@ -176,6 +184,15 @@ template <Opcode Op>
 void
 aluLanes(const AluOperands &o, LaneMask mask, ExecResult &r)
 {
+    if ((mask & (mask + 1)) == 0) {
+        // Contiguous low lanes (every non-divergent write): a plain
+        // counted loop.
+        const unsigned lanes = unsigned(std::countr_one(mask));
+        for (unsigned lane = 0; lane < lanes; ++lane)
+            r.dst[lane] =
+                aluOp<Op>(o.a.at(lane), o.b.at(lane), o.c.at(lane));
+        return;
+    }
     for (LaneMask m = mask; m != 0; m &= m - 1) {
         const unsigned lane = firstLane(m);
         r.dst[lane] = aluOp<Op>(o.a.at(lane), o.b.at(lane), o.c.at(lane));

@@ -31,15 +31,21 @@ struct SregContext
 /** True when @p s reads the same value in every lane of a warp. */
 bool sregIsUniform(SReg s);
 
-/** Outcome of functionally executing one instruction. */
+/**
+ * Outcome of functionally executing one instruction. The per-lane
+ * arrays are not initialised: a lane outside the write mask (dst) or
+ * the execution mask (addrs) holds an undefined value and must never
+ * be read.
+ */
 struct ExecResult
 {
-    /** Per-lane destination values (valid in written lanes). */
-    std::array<Word, kMaxWarpSize> dst{};
+    /** Per-lane destination values (defined in writeMask lanes only). */
+    std::array<Word, kMaxWarpSize> dst;
     /** Lanes whose predicate result is true (ISETP/FSETP). */
     LaneMask predTrue = 0;
-    /** Per-lane byte addresses of a memory operation. */
-    std::array<Addr, kMaxWarpSize> addrs{};
+    /** Per-lane byte addresses of a memory operation (defined in the
+     *  executed lanes only). */
+    std::array<Addr, kMaxWarpSize> addrs;
     /** Lanes that actually wrote dst (mask, or full mask for SMOV). */
     LaneMask writeMask = 0;
 };

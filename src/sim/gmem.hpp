@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace gs
@@ -39,8 +40,19 @@ class GlobalMemory
     /** Pages currently allocated (tests). */
     std::size_t pageCount() const { return pages_.size(); }
 
-  private:
     static constexpr Addr kPageBytes = 4096;
+
+    /** Bytes of the page holding @p addr, or nullptr while no word of
+     *  it was written. A present page never moves, and lives as long
+     *  as this GlobalMemory. */
+    const std::uint8_t *
+    pageBytes(Addr addr) const
+    {
+        const Page *p = pageIfPresent(addr);
+        return p ? p->data() : nullptr;
+    }
+
+  private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 
     Page &page(Addr addr);
@@ -79,7 +91,22 @@ class GmemTxn
                 if (it->first == addr)
                     return it->second;
         }
-        return mem_->readWord(addr);
+        // Loads stream through a few pages: remember the last present
+        // one. Only present pages are cached, since another SM may
+        // create an absent one at any time.
+        GS_ASSERT(addr % kBytesPerWord == 0, "unaligned read at ", addr);
+        const Addr key = addr / GlobalMemory::kPageBytes;
+        if (key != lastKey_) {
+            const std::uint8_t *bytes = mem_->pageBytes(addr);
+            if (bytes == nullptr)
+                return 0; // never written
+            lastKey_ = key;
+            lastPage_ = bytes;
+        }
+        Word w;
+        std::memcpy(&w, lastPage_ + addr % GlobalMemory::kPageBytes,
+                    sizeof(w));
+        return w;
     }
 
     void
@@ -114,6 +141,9 @@ class GmemTxn
   private:
     GlobalMemory *mem_;
     bool deferred_ = false;
+    /** Last present page read (one entry, per SM view: never share). */
+    Addr lastKey_ = ~Addr{0};
+    const std::uint8_t *lastPage_ = nullptr;
     std::vector<Addr> reads_;
     std::vector<std::pair<Addr, Word>> writes_;
 };

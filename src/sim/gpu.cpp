@@ -57,30 +57,38 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
         cycles = out.cycles;
         watchdog = out.watchdog;
     } else {
+        // Only awake SMs are ticked. A sleeping SM's cycles are
+        // credited lazily, before its next tick and at the end: until
+        // it wakes its state, idle() and wakeAt() cannot change (see
+        // docs/PERFORMANCE.md, "Per-instruction costs").
+        auto creditTo = [](Sm &sm, Cycle upto) {
+            if (upto > sm.events().cycles)
+                sm.skipQuiet(upto - sm.events().cycles);
+        };
         Cycle now = 0;
         while (now < cfg_.maxCycles) {
             bool all_idle = true;
             Cycle wake = Sm::kNoWake;
             for (auto &sm : sms) {
-                sm->tick(now);
+                if (now >= sm->wakeAt()) {
+                    creditTo(*sm, now);
+                    sm->tick(now);
+                }
                 all_idle &= sm->idle();
                 wake = std::min(wake, sm->wakeAt());
             }
             if (all_idle)
                 break;
-            // Every SM sleeps until `wake` (at least now + 1): credit
-            // the cycles in between in bulk and resume there. A
+            // Resume at the earliest wake-up (at least now + 1). A
             // deadlocked grid reaches the watchdog in one step.
-            const Cycle next = std::min(wake, cfg_.maxCycles);
-            if (next > now + 1)
-                for (auto &sm : sms)
-                    sm->skipQuiet(next - now - 1);
-            now = next;
+            now = std::min(wake, cfg_.maxCycles);
         }
         watchdog = now >= cfg_.maxCycles;
         // On a watchdog stop the loop counter has already run past the
         // last simulated cycle; report only cycles actually simulated.
         cycles = watchdog ? cfg_.maxCycles : now + 1;
+        for (auto &sm : sms)
+            creditTo(*sm, cycles);
     }
     if (watchdog)
         GS_WARN("kernel '", kernel.name, "' hit the ", cfg_.maxCycles,
@@ -93,6 +101,7 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
         work_.smTicks += sm->events().cycles;
         work_.smTicksSkipped += sm->ticksSkipped();
         work_.issueAttempts += sm->issueAttempts();
+        work_.smTickCalls += sm->tickCalls();
     }
     total.cycles = cycles;
     return total;

@@ -31,6 +31,7 @@ struct SimWork
     std::uint64_t smTicks = 0;        ///< SM cycles covered (cycles x SMs)
     std::uint64_t smTicksSkipped = 0; ///< credited without running phases
     std::uint64_t issueAttempts = 0;  ///< warp issue checks (Sm::issueWarp)
+    std::uint64_t smTickCalls = 0;    ///< Sm::tick calls (serial loop)
 
     std::uint64_t smTicksSimulated() const
     {

@@ -154,12 +154,12 @@ step(Thread &t, const Kernel &k, const CtaContext &c, GlobalMemory &mem,
     switch (inst.op) {
       case Opcode::S2R: r = readSreg(inst.sreg, t, c); break;
       case Opcode::MOV: r = inst.hasImm ? inst.imm : src(0); break;
-      case Opcode::IADD: r = Word(i32(src(0)) + i32(src(1))); break;
-      case Opcode::ISUB: r = Word(i32(src(0)) - i32(src(1))); break;
-      case Opcode::IMUL: r = Word(i32(src(0)) * i32(src(1))); break;
+      // Integer add/sub/mul wrap modulo 2^32: computed on Word.
+      case Opcode::IADD: r = src(0) + src(1); break;
+      case Opcode::ISUB: r = src(0) - src(1); break;
+      case Opcode::IMUL: r = src(0) * src(1); break;
       case Opcode::IMAD:
-        r = Word(i32(src(0)) * i32(src(1)) +
-                 i32(t.regs[std::size_t(inst.src[2])]));
+        r = src(0) * src(1) + t.regs[std::size_t(inst.src[2])];
         break;
       case Opcode::IDIV: {
         const std::int32_t a = i32(src(0)), b = i32(src(1));
@@ -175,7 +175,9 @@ step(Thread &t, const Kernel &k, const CtaContext &c, GlobalMemory &mem,
       }
       case Opcode::IMIN: r = Word(std::min(i32(src(0)), i32(src(1)))); break;
       case Opcode::IMAX: r = Word(std::max(i32(src(0)), i32(src(1)))); break;
-      case Opcode::IABS: r = Word(std::abs(i32(src(0)))); break;
+      case Opcode::IABS: // |INT32_MIN| wraps to INT32_MIN
+        r = i32(src(0)) < 0 ? Word(0) - src(0) : src(0);
+        break;
       case Opcode::AND: r = src(0) & src(1); break;
       case Opcode::OR: r = src(0) | src(1); break;
       case Opcode::XOR: r = src(0) ^ src(1); break;

@@ -33,6 +33,15 @@ class SlotSet
     void reset(unsigned i) { words_[i / 64] &= ~bit(i); }
     bool test(unsigned i) const { return (words_[i / 64] & bit(i)) != 0; }
 
+    bool
+    empty() const
+    {
+        for (const std::uint64_t w : words_)
+            if (w != 0)
+                return false;
+        return true;
+    }
+
     unsigned
     count() const
     {

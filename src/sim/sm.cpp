@@ -27,6 +27,7 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
       dims_(dims), tracer_(tracer), gmem_(gmem), gtxn_(gmem),
       memsys_(memsys), dispatcher_(dispatcher),
       geo_{cfg.warpSize, cfg.checkGranularity},
+      baseRead_(baselineRead(geo_)), fullLanes_(laneMaskLow(cfg.warpSize)),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes)
 {
     warpsPerCta_ = cfg.warpsPerCta(dims.threadsPerCta);
@@ -108,21 +109,17 @@ Sm::residentWarps() const
 bool
 Sm::idle() const
 {
-    if (!dispatcher_.exhausted())
-        return false;
-    for (const CtaSlot &s : slots_)
-        if (s.active)
-            return false;
-    return wbQueue_.empty() && freeCollectors_ == oc_.size();
+    return dispatcher_.exhausted() && activeCtas_ == 0 &&
+           wbQueue_.empty() && freeCollectors_ == oc_.size();
 }
 
 void
 Sm::tick(Cycle now)
 {
-    if (now < wakeAt_) {
-        skipQuiet(1);
-        return;
-    }
+    // Gpu::launch credits sleeping cycles lazily and never calls a
+    // sleeping SM.
+    GS_ASSERT(now >= wakeAt_, "tick of a sleeping SM at ", now);
+    ++tickCalls_;
     const StallCounts before = stallCounts();
     bool progress = writeback(now);
     progress |= dispatchReady(now);
@@ -189,6 +186,8 @@ Sm::nextWake(Cycle now) const
 bool
 Sm::tryLaunchCtas(Cycle)
 {
+    if (activeCtas_ == ctaCapacity_ || dispatcher_.exhausted())
+        return false;
     // At most one CTA per SM per cycle so grids spread round-robin over
     // the SM array instead of piling onto the first SM.
     for (unsigned s = 0; s < ctaCapacity_; ++s) {
@@ -200,6 +199,7 @@ Sm::tryLaunchCtas(Cycle)
             return false;
 
         slot.active = true;
+        ++activeCtas_;
         slot.ctaId = *cta;
         if (tracer_)
             tracer_->onCtaLaunch(smId_, *cta, ev_.cycles);
@@ -252,6 +252,7 @@ Sm::retireCtas(Cycle)
         if (done) {
             retired = true;
             slot.active = false;
+            --activeCtas_;
             for (unsigned w = 0; w < slot.numWarps; ++w)
                 warps_[slot.warpBase + w].ctaSlot = -1;
             if (tracer_)
@@ -387,7 +388,8 @@ Sm::accountRegRead(const RegMeta &meta, bool reader_divergent,
                    bool scalar_from_bvr)
 {
     ++ev_.rfReads;
-    const LaneMask full = laneMaskLow(cfg_.warpSize);
+    const LaneMask full = fullLanes_;
+    const bool half_reg = cfg_.halfRegisterCompression;
 
     // ---- Fig. 8 category (read-time classification) ---------------------
     if (reader_divergent) {
@@ -405,7 +407,7 @@ Sm::accountRegRead(const RegMeta &meta, bool reader_divergent,
     }
 
     // ---- shadow accounting: the four RF schemes of Fig. 12 ----------------
-    const AccessCost base = baselineRead(geo_);
+    const AccessCost base = baseRead_;
     ev_.shadowBaseArrayReads += base.arrays;
 
     if (meta.fullScalar())
@@ -414,8 +416,7 @@ Sm::accountRegRead(const RegMeta &meta, bool reader_divergent,
         ev_.shadowScalarArrayReads += base.arrays;
 
     const AccessCost ours =
-        compressedRead(geo_, meta, full, cfg_.halfRegisterCompression,
-                       meta.fullScalar());
+        compressedRead(geo_, meta, full, half_reg, meta.fullScalar());
     ev_.shadowOursArrayReads += ours.arrays;
     ev_.shadowOursBvrAccesses += ours.bvr;
     ev_.shadowOursCrossbarBytes += ours.bytes;
@@ -443,8 +444,7 @@ Sm::accountRegRead(const RegMeta &meta, bool reader_divergent,
         ++ev_.decompressorUses;
         break;
       default: // compression modes: price through the configured codec
-        actual = codec_->readCost(geo_, meta, full,
-                                  cfg_.halfRegisterCompression,
+        actual = codec_->readCost(geo_, meta, full, half_reg,
                                   scalar_from_bvr);
         ev_.bvrAccesses += actual.bvr;
         if (!scalar_from_bvr)
@@ -462,6 +462,8 @@ Sm::accountRegWrite(const RegMeta &before, const RegMeta &after,
     (void)before;
     ++ev_.rfWrites;
     const LaneMask wmask = after.writeMask;
+    const bool half_reg = cfg_.halfRegisterCompression;
+    const unsigned reg_bytes = geo_.regBytes();
 
     if (after.affine) {
         ++ev_.affineWrites;
@@ -470,12 +472,11 @@ Sm::accountRegWrite(const RegMeta &before, const RegMeta &after,
     }
 
     // ---- compression-ratio accounting over the write stream ----------------
-    ev_.compBytesUncompressed += geo_.regBytes();
+    ev_.compBytesUncompressed += reg_bytes;
     ev_.compBytesCompressed +=
-        codec_->regStoredBytes(geo_, after, cfg_.halfRegisterCompression);
-    ev_.bdiBytesUncompressed += geo_.regBytes();
-    ev_.bdiBytesCompressed +=
-        after.divergent ? geo_.regBytes() : after.bdiBytes;
+        codec_->regStoredBytes(geo_, after, half_reg);
+    ev_.bdiBytesUncompressed += reg_bytes;
+    ev_.bdiBytesCompressed += after.divergent ? reg_bytes : after.bdiBytes;
 
     // ---- shadow accounting -------------------------------------------------
     const AccessCost base = baselineWrite(geo_, wmask);
@@ -486,8 +487,8 @@ Sm::accountRegWrite(const RegMeta &before, const RegMeta &after,
     else
         ev_.shadowScalarArrayWrites += base.arrays;
 
-    const AccessCost ours = compressedWrite(
-        geo_, after, cfg_.halfRegisterCompression, after.fullScalar());
+    const AccessCost ours =
+        compressedWrite(geo_, after, half_reg, after.fullScalar());
     ev_.shadowOursArrayWrites += ours.arrays;
     ev_.shadowOursBvrAccesses += ours.bvr;
     ev_.shadowOursCrossbarBytes += ours.bytes;
@@ -515,9 +516,7 @@ Sm::accountRegWrite(const RegMeta &before, const RegMeta &after,
         ++ev_.compressorUses;
         break;
       default:
-        actual = codec_->writeCost(geo_, after,
-                                   cfg_.halfRegisterCompression,
-                                   scalar_to_bvr);
+        actual = codec_->writeCost(geo_, after, half_reg, scalar_to_bvr);
         ev_.bvrAccesses += actual.bvr;
         ++ev_.compressorUses; // comparison logic runs on every write-back
         break;
@@ -828,9 +827,16 @@ Sm::issueWarp(unsigned w, Cycle now)
     if (inst.writesDst()) {
         const RegMeta before = ws.meta(inst.dst);
         auto dstvals = ws.regValues(inst.dst);
-        for (unsigned lane = 0; lane < cfg_.warpSize; ++lane)
-            if (res.writeMask & (LaneMask{1} << lane))
+        // res.dst is defined in the written lanes only.
+        if (res.writeMask == fullLanes_) {
+            std::copy_n(res.dst.begin(), dstvals.size(), dstvals.begin());
+        } else {
+            for (LaneMask m = res.writeMask & fullLanes_; m != 0;
+                 m &= m - 1) {
+                const unsigned lane = firstLane(m);
                 dstvals[lane] = res.dst[lane];
+            }
+        }
 
         RegMeta after = analyzeWrite(dstvals, res.writeMask, ws.fullMask(),
                                      cfg_.checkGranularity);
@@ -1040,7 +1046,7 @@ Sm::dispatch(unsigned c, Pipe &pipe, Cycle now)
     wbQueue_.push_back({wb + extra_wb, f.warp,
                         f.inst.writesDst() ? f.inst.dst : kNoReg,
                         f.inst.pdst});
-    std::push_heap(wbQueue_.begin(), wbQueue_.end(), laterWb);
+    std::push_heap(wbQueue_.begin(), wbQueue_.end(), LaterWb{});
 
     ocReady_[unsigned(f.inst.pipe())].reset(c);
     ocFree_.set(c);
@@ -1060,9 +1066,10 @@ Sm::dispatchReady(Cycle now)
     for (const PipeClass cls :
          {PipeClass::ALU, PipeClass::SFU, PipeClass::MEM}) {
         const SlotSet &ready = ocReady_[unsigned(cls)];
-        const unsigned waiting = ready.count();
-        if (waiting == 0)
+        // empty() first: count() is a popcount loop.
+        if (ready.empty())
             continue;
+        const unsigned waiting = ready.count();
 
         std::array<Pipe *, 2> pipes{};
         unsigned free_pipes = 0;
@@ -1096,7 +1103,7 @@ Sm::writeback(Cycle now)
 {
     bool wrote_back = false;
     while (!wbQueue_.empty() && wbQueue_.front().wbAt <= now) {
-        std::pop_heap(wbQueue_.begin(), wbQueue_.end(), laterWb);
+        std::pop_heap(wbQueue_.begin(), wbQueue_.end(), LaterWb{});
         const WbEntry e = wbQueue_.back();
         wbQueue_.pop_back();
         wrote_back = true;

@@ -13,11 +13,14 @@
  * issue, CTA retire or CTA launch) changes nothing but four stall
  * counters and the dispatch cursor, and every later tick repeats it
  * exactly until the SM's next wake event: the earliest write-back due,
- * collector ready or pipe free after that tick. tick() therefore
- * sleeps until then, crediting each skipped cycle the quiet tick's
- * stall counts, and Gpu::launch jumps over cycles in which every SM
- * sleeps. Any new time-dependent predicate in tick()'s phases must be
- * added as a wake event in nextWake(), or the skip becomes wrong.
+ * collector ready or pipe free after that tick. The SM therefore
+ * sleeps until then (wakeAt()). Gpu::launch never calls a sleeping SM:
+ * it credits the slept cycles with skipQuiet() (the quiet tick's stall
+ * counts per cycle) just before the SM's next tick and at the end of
+ * the launch, and jumps over cycles in which every SM sleeps. A
+ * sleeping SM's state, idle() and wakeAt() are frozen until it wakes.
+ * Any new time-dependent predicate in tick()'s phases must be added as
+ * a wake event in nextWake(), or the skip becomes wrong.
  *
  * Issuable sets and memos: an awake tick visits only warps and
  * collectors that can change something.
@@ -94,8 +97,9 @@ class Sm
        GlobalMemory &gmem, MemorySystem &memsys,
        CtaDispatcher &dispatcher, Tracer *tracer = nullptr);
 
-    /** Advance one core cycle; a sleeping SM only credits the cycle
-     *  its quiet tick's stall counts (see the file comment). */
+    /** Run one core cycle's phases. Only for an awake SM (now >=
+     *  wakeAt()) whose earlier cycles are all counted (events().cycles
+     *  == now): the caller credits sleeping cycles with skipQuiet(). */
     void tick(Cycle now);
 
     /** First cycle whose tick() must run the phases again: now + 1
@@ -103,8 +107,8 @@ class Sm
      *  pending. Every cycle before it would repeat the last quiet tick. */
     Cycle wakeAt() const { return wakeAt_; }
 
-    /** Credit @p n sleeping cycles in bulk, exactly as @p n calls of
-     *  tick() before wakeAt() would. */
+    /** Credit @p n sleeping cycles in bulk, exactly as @p n repeats of
+     *  the last quiet tick would (any split of n gives the same). */
     void skipQuiet(Cycle n);
 
     /** Host work: issueWarp() calls (scoreboard/collector checks). */
@@ -112,6 +116,9 @@ class Sm
 
     /** Host work: cycles credited without running the phases. */
     std::uint64_t ticksSkipped() const { return ticksSkipped_; }
+
+    /** Host work: tick() calls. */
+    std::uint64_t tickCalls() const { return tickCalls_; }
 
     static constexpr Cycle kNoWake = ~Cycle{0};
 
@@ -250,11 +257,14 @@ class Sm
     unsigned occupancyCycles(const Collector &f) const;
     Cycle memoryCompletion(const Collector &f, Cycle start);
     /** Heap order of wbQueue_: earliest write-back on top. */
-    static bool
-    laterWb(const WbEntry &a, const WbEntry &b)
+    struct LaterWb
     {
-        return a.wbAt > b.wbAt;
-    }
+        bool
+        operator()(const WbEntry &a, const WbEntry &b) const
+        {
+            return a.wbAt > b.wbAt;
+        }
+    };
 
     // ---- members ----------------------------------------------------------------
     const ArchConfig &cfg_;
@@ -269,6 +279,8 @@ class Sm
     CtaDispatcher &dispatcher_;
 
     RfGeometry geo_;
+    AccessCost baseRead_;  ///< baselineRead(geo_): every read's cost
+    LaneMask fullLanes_;   ///< all cfg_.warpSize lanes
     unsigned warpsPerCta_;
     unsigned ctaCapacity_;
     unsigned maxWarps_;
@@ -288,6 +300,7 @@ class Sm
     std::vector<bool> rfRedirected_; ///< (warp, reg) already counted
 
     std::vector<CtaSlot> slots_;
+    unsigned activeCtas_ = 0; ///< slots_ entries holding a CTA
     std::vector<WarpState> warps_;
     std::vector<Scoreboard> boards_;
     std::vector<unsigned> warpInFlight_; ///< packets not yet written back
@@ -309,7 +322,7 @@ class Sm
     Cycle nextCollectDone_ = kNoWake; ///< earliest collectDone pending
     unsigned ocRotate_ = 0; ///< dispatch round-robin cursor
 
-    std::vector<WbEntry> wbQueue_; ///< min-heap on wbAt (laterWb)
+    std::vector<WbEntry> wbQueue_; ///< min-heap on wbAt (LaterWb)
     /** This tick saw an EXIT or a finished warp's last write-back, the
      *  only events that can complete a CTA. */
     bool retireDue_ = false;
@@ -332,6 +345,7 @@ class Sm
     StallCounts quiet_; ///< per-cycle stall counts while asleep
     std::uint64_t issueAttempts_ = 0;
     std::uint64_t ticksSkipped_ = 0;
+    std::uint64_t tickCalls_ = 0;
 };
 
 } // namespace gs

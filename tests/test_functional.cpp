@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 
+#include "isa/kernel_builder.hpp"
 #include "sim/functional.hpp"
+#include "sim/gpu.hpp"
+#include "sim/reference.hpp"
 
 namespace gs
 {
@@ -265,6 +268,77 @@ TEST_F(FunctionalTest, InactiveLanesUntouched)
     EXPECT_EQ(r.writeMask, 0b01u);
     EXPECT_EQ(r.dst[0], 11u);
     // Lane 1 result is unspecified, but the write mask excludes it.
+}
+
+// IADD/ISUB/IMUL/IMAD wrap modulo 2^32 and IABS(INT32_MIN) is
+// INT32_MIN, in the SIMT pipeline's functional unit and in the
+// reference interpreter alike (both compute on unsigned words, so an
+// overflowing operand is defined behaviour, not signed overflow).
+TEST(FunctionalOverflow, WrapsIdenticallyInBothInterpreters)
+{
+    const Word kEdge[] = {Word(INT32_MIN), Word(INT32_MAX), Word(-1), 0, 1,
+                          2, 0x40000000, Word(INT32_MIN + 1)};
+    constexpr unsigned kN = std::size(kEdge);
+    constexpr unsigned kThreads = kN * kN; // every (a, b) pair
+    constexpr Addr kA = 0x1000, kB = 0x2000, kC = 0x3000, kOut = 0x4000;
+    constexpr unsigned kOps = 5;
+
+    KernelBuilder kb("overflow");
+    const Reg tid = kb.reg(), addr = kb.reg(), a = kb.reg(), b = kb.reg(),
+              c = kb.reg(), r = kb.reg();
+    kb.s2r(tid, SReg::Tid);
+    kb.shli(addr, tid, 2);
+    kb.ldg(a, addr, Word(kA));
+    kb.ldg(b, addr, Word(kB));
+    kb.ldg(c, addr, Word(kC));
+    auto store = [&](unsigned slot) {
+        kb.stg(addr, r, Word(kOut + slot * 4 * kThreads));
+    };
+    kb.iadd(r, a, b);
+    store(0);
+    kb.isub(r, a, b);
+    store(1);
+    kb.imul(r, a, b);
+    store(2);
+    kb.imad(r, a, b, c);
+    store(3);
+    kb.emit1(Opcode::IABS, r, a);
+    store(4);
+    const Kernel k = kb.build();
+
+    std::vector<Word> va(kThreads), vb(kThreads), vc(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        va[t] = kEdge[t / kN];
+        vb[t] = kEdge[t % kN];
+        vc[t] = kEdge[(t * 3 + 1) % kN];
+    }
+    auto fill = [&](GlobalMemory &mem) {
+        mem.fillWords(kA, va);
+        mem.fillWords(kB, vb);
+        mem.fillWords(kC, vc);
+    };
+
+    Gpu gpu(ArchConfig{});
+    fill(gpu.memory());
+    gpu.launch(k, {1, kThreads});
+    const auto simt = gpu.memory().readWords(kOut, kOps * kThreads);
+
+    GlobalMemory mem;
+    fill(mem);
+    referenceExecute(k, {1, kThreads}, mem);
+    EXPECT_EQ(simt, mem.readWords(kOut, kOps * kThreads));
+
+    for (unsigned t = 0; t < kThreads; ++t) {
+        const Word x = va[t], y = vb[t], z = vc[t];
+        SCOPED_TRACE(::testing::Message() << "a=" << x << " b=" << y);
+        EXPECT_EQ(simt[0 * kThreads + t], Word(x + y));
+        EXPECT_EQ(simt[1 * kThreads + t], Word(x - y));
+        EXPECT_EQ(simt[2 * kThreads + t], Word(x * y));
+        EXPECT_EQ(simt[3 * kThreads + t], Word(x * y + z));
+        EXPECT_EQ(simt[4 * kThreads + t],
+                  std::int32_t(x) < 0 ? Word(0u - x) : x);
+    }
+    EXPECT_EQ(simt[4 * kThreads + 0], Word(INT32_MIN)); // |INT32_MIN|
 }
 
 } // namespace

@@ -136,6 +136,15 @@ TEST(Quiescence, LrrSerialMatchesThreaded)
     }
 }
 
+void
+addWork(SimWork &sum, const SimWork &w)
+{
+    sum.smTicks += w.smTicks;
+    sum.smTicksSkipped += w.smTicksSkipped;
+    sum.issueAttempts += w.issueAttempts;
+    sum.smTickCalls += w.smTickCalls;
+}
+
 /** Run every launch of @p name serially; its summed host work and
  *  counters. */
 SimWork
@@ -149,10 +158,7 @@ launchWork(const std::string &name, const ArchConfig &cfg,
     SimWork sum;
     for (const WorkloadLaunch &l : w.launches) {
         ev += gpu.launch(l.kernel, l.dims);
-        const SimWork &work = gpu.lastLaunchWork();
-        sum.smTicks += work.smTicks;
-        sum.smTicksSkipped += work.smTicksSkipped;
-        sum.issueAttempts += work.issueAttempts;
+        addWork(sum, gpu.lastLaunchWork());
     }
     return sum;
 }
@@ -183,7 +189,8 @@ TEST(Quiescence, MvHostWorkRatchet)
 // warp instruction over all 17 workloads in baseline mode at the
 // suite's input seed. The issuable-warp sets and the collector-full
 // memo skip warps that cannot issue; lower this bound when a change
-// does less work, never raise it.
+// does less work, never raise it. Gpu::launch calls Sm::tick only on
+// an awake SM, so every call runs the phases.
 constexpr double kSuiteIssueAttemptsPerIssuedInst = 1.632; // measured 1.6318
 
 TEST(Quiescence, SuiteHostWorkRatchet)
@@ -192,16 +199,21 @@ TEST(Quiescence, SuiteHostWorkRatchet)
     SimThreadsAtExit restore;
     setSimThreads(1);
     EventCounts ev;
-    std::uint64_t attempts = 0;
+    SimWork total;
     for (const std::string &name : workloadNames())
-        attempts += launchWork(name, ArchConfig{}, ev).issueAttempts;
+        addWork(total, launchWork(name, ArchConfig{}, ev));
     ASSERT_GT(ev.issuedInsts, 0u);
+    const std::uint64_t attempts = total.issueAttempts;
     const double per_inst = double(attempts) / double(ev.issuedInsts);
+    RecordProperty("sm_ticks", std::to_string(total.smTicks));
+    RecordProperty("sm_ticks_skipped", std::to_string(total.smTicksSkipped));
+    RecordProperty("sm_tick_calls", std::to_string(total.smTickCalls));
     RecordProperty("issue_attempts", std::to_string(attempts));
     RecordProperty("issued_insts", std::to_string(ev.issuedInsts));
     RecordProperty("issue_attempts_per_issued_inst",
                    std::to_string(per_inst));
     EXPECT_LE(per_inst, kSuiteIssueAttemptsPerIssuedInst);
+    EXPECT_EQ(total.smTickCalls, total.smTicksSimulated());
 }
 
 } // namespace

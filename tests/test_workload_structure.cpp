@@ -60,7 +60,8 @@ TEST(WorkloadStructure, LcUsesIntegerDivide)
 
 TEST(WorkloadStructure, PfUsesSharedMemoryAndBarriers)
 {
-    const Kernel &k = kernelOf(makeWorkload("PF"));
+    const Workload w = makeWorkload("PF");
+    const Kernel &k = kernelOf(w);
     const auto h = opcodeHistogram(k);
     EXPECT_GT(h.at(Opcode::LDS), 0u);
     EXPECT_GT(h.at(Opcode::STS), 0u);
@@ -136,7 +137,8 @@ TEST(WorkloadStructure, ControlDependenceRecorded)
     // The static analyses rely on builder-recorded regions; every
     // branchy kernel must carry them.
     for (const char *name : {"HW", "LBM", "SAD", "ACF"}) {
-        const Kernel &k = kernelOf(makeWorkload(name));
+        const Workload w = makeWorkload(name);
+        const Kernel &k = kernelOf(w);
         EXPECT_FALSE(k.regions.empty()) << name;
         EXPECT_EQ(k.enclosingPreds.size(), k.code.size()) << name;
     }
