@@ -181,8 +181,7 @@ main(int argc, char **argv)
             if (!f)
                 GS_FATAL("unknown --format '", a.substr(9), "'");
             format = *f;
-        } else if (a == "--jobs" || a == "-j" || a == "--fault" ||
-                   a == "--sim-threads") {
+        } else if (a == "--jobs" || a == "-j" || a == "--fault") {
             ++i; // value consumed by initHarness
         } else if (a == "--cache" || a.rfind("--fault=", 0) == 0) {
             // consumed by initHarness

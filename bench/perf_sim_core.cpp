@@ -6,9 +6,7 @@
  * golden byte-compare. It emits one gscalar.bench.v1 document with
  * three metric groups:
  *
- *   sim-cycles/s   a representative kernel mix simulated at
- *                  --sim-threads 1/2/4 (parallel rows also prove the
- *                  counters stay byte-identical to serial)
+ *   sim-cycles/s   a representative kernel mix simulated serially
  *   runs/s         distinct-seed runs pushed through the experiment
  *                  engine's worker pool (the cross-run GS_JOBS axis)
  *   codec GB/s     classify + compress throughput of the byte-mask
@@ -42,7 +40,6 @@
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
 #include "obs/result.hpp"
-#include "sim/parallel.hpp"
 
 namespace
 {
@@ -76,31 +73,18 @@ pattern(unsigned family, unsigned lanes)
     return v;
 }
 
-/** One kernel-mix pass at a given intra-run thread count. */
+/** One kernel-mix pass. */
 void
-simMixRow(Table &t, unsigned threads, std::uint64_t &checksum)
+simMixRow(Table &t)
 {
-    setSimThreads(threads);
     std::uint64_t cycles = 0;
-    std::uint64_t sum = 0;
     const auto t0 = Clock::now();
     for (const std::string &w : kMix) {
         ArchConfig cfg;
-        const RunResult r = runWorkload(w, cfg);
-        cycles += r.ev.cycles;
-        sum += r.ev.cycles * 31 + r.ev.warpInsts * 7 +
-               r.ev.threadInsts;
+        cycles += runWorkload(w, cfg).ev.cycles;
     }
     const double secs = secondsSince(t0);
-    if (checksum == 0)
-        checksum = sum;
-    else if (checksum != sum)
-        GS_FATAL("kernel mix diverged at --sim-threads ", threads,
-                 " (parallel ticking is supposed to be byte-identical)");
-    std::ostringstream label;
-    label << "sim-mix threads=" << threads;
-    t.row({label.str(), "sim-cycles/s",
-           Table::num(double(cycles) / secs, 0),
+    t.row({"sim-mix", "sim-cycles/s", Table::num(double(cycles) / secs, 0),
            Table::num(secs, 3)});
 }
 
@@ -108,7 +92,6 @@ simMixRow(Table &t, unsigned threads, std::uint64_t &checksum)
 void
 engineRow(Table &t)
 {
-    setSimThreads(1);
     ExperimentEngine engine(0); // 0 = defaultJobs (GS_JOBS / --jobs)
     const unsigned kRuns = 8;
     std::vector<std::shared_future<RunResult>> futures;
@@ -216,8 +199,7 @@ main(int argc, char **argv)
             if (!f)
                 GS_FATAL("unknown --format '", a.substr(9), "'");
             format = *f;
-        } else if (a == "--jobs" || a == "-j" || a == "--fault" ||
-                   a == "--sim-threads") {
+        } else if (a == "--jobs" || a == "-j" || a == "--fault") {
             ++i; // value consumed by initHarness
         } else if (a == "--cache" || a.rfind("--fault=", 0) == 0) {
             // consumed by initHarness
@@ -230,9 +212,7 @@ main(int argc, char **argv)
     Table t("Simulator-core performance baseline (host-dependent)");
     t.row({"case", "metric", "value", "secs"});
 
-    std::uint64_t checksum = 0;
-    for (const unsigned threads : {1u, 2u, 4u})
-        simMixRow(t, threads, checksum);
+    simMixRow(t);
     engineRow(t);
     for (const SimdLevel level :
          {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2}) {

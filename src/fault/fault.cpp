@@ -40,7 +40,7 @@ constexpr KindName kKindNames[] = {
 };
 
 constexpr std::string_view kSites[] = {"store", "serve", "engine",
-                                       "sim", "gen", "rf", "sweep"};
+                                       "gen", "rf", "sweep"};
 
 /** SplitMix64: decorrelates (seed, occurrence) into uniform bits. */
 std::uint64_t
@@ -119,8 +119,8 @@ FaultInjector::configure(const std::string &specList, std::string *error)
             knownSite = knownSite || site == s.site;
         if (!knownSite)
             return fail("unknown fault site '" + s.site +
-                        "' (want store, serve, engine, sim, gen, rf "
-                        "or sweep)");
+                        "' (want store, serve, engine, gen, rf or "
+                        "sweep)");
 
         const std::optional<FaultKind> kind = parseFaultKind(parts[1]);
         if (!kind)

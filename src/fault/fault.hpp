@@ -25,7 +25,6 @@
  *   serve    conn-reset, short-read, eintr, stall (serve/protocol.cpp)
  *   serve    coalesce-leader-crash, epoll-spurious (serve/server.cpp)
  *   engine   throw, slow                          (harness/engine.cpp)
- *   sim      slow                                 (sim/parallel.cpp)
  *   gen      miscompare                           (gen/diff.cpp)
  *   rf       stuck-array                          (sim/sm.cpp)
  *   sweep    journal-torn-write, journal-bit-flip (sweep/journal.cpp)
@@ -35,7 +34,7 @@
  * not transient ones. An armed `rf:stuck-array:rate[:seed]` spec marks
  * a deterministic fraction of every SM's SRAM arrays stuck at
  * construction (a pure hash of seed x SM x bank x array, so the set is
- * identical at any --jobs/--sim-threads); a codec whose capability
+ * identical at any --jobs); a codec whose capability
  * descriptor advertises absorbsStuckFaults (RRCD) redirects the
  * affected registers into spare capacity instead of failing.
  *
@@ -89,8 +88,8 @@ std::optional<FaultKind> parseFaultKind(std::string_view name);
 /** One armed fault: where, what, how often, and the decision seed. */
 struct FaultSpec
 {
-    std::string site; ///< "store", "serve", "engine", "sim", "gen",
-                      ///< "rf", "sweep"
+    std::string site; ///< "store", "serve", "engine", "gen", "rf",
+                      ///< "sweep"
     FaultKind kind = FaultKind::Throw;
     double rate = 0;    ///< firing probability per occurrence, [0, 1]
     std::uint64_t seed = 0;
@@ -202,8 +201,8 @@ injectFault(std::string_view site, FaultKind kind)
  * array at (sm, bank, array) is stuck under the armed spec. Unlike
  * shouldInject() this is a pure function of the spec's seed and the
  * coordinates — no occurrence counter — so the stuck set is identical
- * across repeated queries and at any --jobs/--sim-threads. False when
- * nothing is armed or under a Suppress guard.
+ * across repeated queries and at any --jobs. False when nothing is
+ * armed or under a Suppress guard.
  */
 bool stuckArrayFault(unsigned sm, unsigned bank, unsigned array);
 

@@ -6,7 +6,7 @@
  * mismatch delta-debug the kernel down to a minimal reproducer and
  * write it to the corpus directory. The campaign is deterministic end
  * to end: same seed and knobs, same kernels, same report bytes —
- * regardless of --jobs or --sim-threads.
+ * regardless of --jobs.
  */
 
 #ifndef GSCALAR_GEN_FUZZ_HPP

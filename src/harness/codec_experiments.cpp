@@ -131,7 +131,7 @@ buildCodecShootout(ExperimentEngine &eng, const ArchConfig &base)
     // Fan out every run before joining anything: the Baseline
     // reference suite plus one full-suite sweep per registered codec.
     // Results join in registry x Table 2 order, so the table is
-    // byte-identical at any --jobs / --sim-threads level.
+    // byte-identical at any --jobs level.
     ArchConfig bcfg = base;
     bcfg.mode = ArchMode::Baseline;
     std::vector<std::shared_future<RunResult>> baseline =

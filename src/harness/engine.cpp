@@ -14,7 +14,6 @@
 #include "compress/simd.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
-#include "sim/parallel.hpp"
 
 namespace gs
 {
@@ -457,6 +456,18 @@ parseJobsValue(const std::string &s)
 }
 
 void
+ignoreSimThreads(bool flagGiven)
+{
+    static std::atomic<bool> warned{false};
+    if (!flagGiven && std::getenv("GS_SIM_THREADS") == nullptr)
+        return;
+    if (!warned.exchange(true))
+        stderrSink().writeLine(
+            "warn: --sim-threads / GS_SIM_THREADS is ignored: intra-run "
+            "SM threading was removed (spread runs with --jobs)");
+}
+
+void
 initHarness(int argc, char **argv)
 {
     setQuiet(true);
@@ -466,12 +477,7 @@ initHarness(int argc, char **argv)
                      "' is not a valid worker count (want an integer in "
                      "[1, 4096])");
     }
-    if (const char *env = std::getenv("GS_SIM_THREADS")) {
-        if (!parseSimThreadsValue(env))
-            GS_FATAL("GS_SIM_THREADS='", env,
-                     "' is not a valid thread count (want an integer in "
-                     "[1, 4096])");
-    }
+    ignoreSimThreads(false);
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--jobs" || a == "-j") {
@@ -485,12 +491,8 @@ initHarness(int argc, char **argv)
         } else if (a == "--sim-threads") {
             if (i + 1 >= argc)
                 GS_FATAL(a, " needs a value");
-            const std::optional<unsigned> v =
-                parseSimThreadsValue(argv[++i]);
-            if (!v)
-                GS_FATAL(a, " wants an integer in [1, 4096], got '",
-                         argv[i], "'");
-            setSimThreads(*v);
+            ++i;
+            ignoreSimThreads(true);
         } else if (a == "--codec") {
             if (i + 1 >= argc)
                 GS_FATAL("--codec needs a value (", codecIdList(), ")");

@@ -277,15 +277,24 @@ std::optional<unsigned> parseJobsValue(const std::string &s);
 
 /**
  * Standard harness-binary prologue: silence warn()/inform(), validate
- * GS_JOBS / GS_SIM_THREADS / GS_SIMD / GS_FAULT / GS_CODEC, and honour
- * trailing `--jobs N` / `-j N` (worker-pool size), `--sim-threads N`
- * (intra-run SM threads; sim/parallel.hpp), `--codec NAME` (RF
+ * GS_JOBS / GS_SIMD / GS_FAULT / GS_CODEC, and honour trailing
+ * `--jobs N` / `-j N` (worker-pool size), `--codec NAME` (RF
  * compression codec; common/codec_id.hpp), `--cache` (persistent run
  * cache at $GS_CACHE_DIR or the default cache directory) and
  * `--fault SPEC` flags. Malformed values are fatal with a clear
- * message, never silently defaulted.
+ * message, never silently defaulted. The retired intra-run threading
+ * setting goes to ignoreSimThreads().
  */
 void initHarness(int argc, char **argv);
+
+/**
+ * The retired intra-run SM threading setting, accepted for one more
+ * release and ignored. Call it with @p flagGiven true where a
+ * `--sim-threads N` flag was consumed, and with false at start-up to
+ * look for $GS_SIM_THREADS. When either is set it prints one warning
+ * per process to stderr (even in quiet mode) and does nothing else.
+ */
+void ignoreSimThreads(bool flagGiven);
 
 } // namespace gs
 

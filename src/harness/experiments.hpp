@@ -81,7 +81,7 @@ SuiteResult buildMicroCodec(ExperimentEngine &eng, const ArchConfig &base);
  * Codec shootout: runs the full Table 2 suite once per registered
  * codec (mode GScalarFull) plus a Baseline reference, and ranks the
  * codecs on geomean compression ratio, RF+codec energy and IPC.
- * Deterministic at any --jobs/--sim-threads level.
+ * Deterministic at any --jobs level.
  */
 SuiteResult buildCodecShootout(ExperimentEngine &eng,
                                const ArchConfig &base);

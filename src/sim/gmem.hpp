@@ -12,7 +12,6 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -62,35 +61,17 @@ class GlobalMemory
 };
 
 /**
- * An SM's view of global memory. Direct by default (serial ticking:
- * every access goes straight to the backing GlobalMemory). In deferred
- * mode (parallel ticking) stores are buffered into a per-cycle write
- * log and loads snoop that log newest-first before falling back to the
- * backing store, which preserves program order *within* the SM while
- * other SMs issue concurrently; the parallel driver commits the logs
- * in SM order at the end of the cycle so the backing memory takes
- * writes in exactly the serial order. The read log exists only to let
- * the driver detect cross-SM same-cycle read/write overlap.
+ * An SM's view of global memory: reads go through a one-entry cache of
+ * the last present page, writes go straight to the backing memory.
  */
 class GmemTxn
 {
   public:
     explicit GmemTxn(GlobalMemory &mem) : mem_(&mem) {}
 
-    /** Buffer stores per cycle (parallel ticking) instead of writing
-     *  through. Turning it off with a non-empty log is a bug. */
-    void setDeferred(bool on) { deferred_ = on; }
-    bool deferred() const { return deferred_; }
-
     Word
     readWord(Addr addr)
     {
-        if (deferred_) {
-            reads_.push_back(addr);
-            for (auto it = writes_.rbegin(); it != writes_.rend(); ++it)
-                if (it->first == addr)
-                    return it->second;
-        }
         // Loads stream through a few pages: remember the last present
         // one. Only present pages are cached, since another SM may
         // create an absent one at any time.
@@ -109,43 +90,13 @@ class GmemTxn
         return w;
     }
 
-    void
-    writeWord(Addr addr, Word value)
-    {
-        if (deferred_) {
-            writes_.emplace_back(addr, value);
-            return;
-        }
-        mem_->writeWord(addr, value);
-    }
-
-    /** Word addresses read this cycle (deferred mode only). */
-    const std::vector<Addr> &readLog() const { return reads_; }
-
-    /** Stores buffered this cycle, in program order. */
-    const std::vector<std::pair<Addr, Word>> &writeLog() const
-    {
-        return writes_;
-    }
-
-    /** Apply the write log to the backing memory and clear both logs. */
-    void
-    commit()
-    {
-        for (const auto &[a, v] : writes_)
-            mem_->writeWord(a, v);
-        writes_.clear();
-        reads_.clear();
-    }
+    void writeWord(Addr addr, Word value) { mem_->writeWord(addr, value); }
 
   private:
     GlobalMemory *mem_;
-    bool deferred_ = false;
     /** Last present page read (one entry, per SM view: never share). */
     Addr lastKey_ = ~Addr{0};
     const std::uint8_t *lastPage_ = nullptr;
-    std::vector<Addr> reads_;
-    std::vector<std::pair<Addr, Word>> writes_;
 };
 
 } // namespace gs

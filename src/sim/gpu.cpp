@@ -1,14 +1,27 @@
 #include "gpu.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/log.hpp"
-#include "parallel.hpp"
 #include "sm.hpp"
 
 namespace gs
 {
+
+namespace
+{
+
+std::atomic<bool> g_every_cycle_reference{false};
+
+} // namespace
+
+void
+setEveryCycleReference(bool on)
+{
+    g_every_cycle_reference.store(on, std::memory_order_relaxed);
+}
 
 Gpu::Gpu(const ArchConfig &cfg) : cfg_(cfg)
 {
@@ -36,26 +49,18 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
                                            dims, gmem_, memsys,
                                            dispatcher, tracer_));
 
-    // More threads than SMs buys nothing; a tracer observes the exact
-    // serial interleaving, so tracing forces the serial path.
-    unsigned threads = std::min<unsigned>(resolveSimThreads(),
-                                          cfg_.numSms);
-    if (tracer_ != nullptr)
-        threads = 1;
-
     Cycle cycles = 0;
     bool watchdog = false;
-    if (threads > 1 && cfg_.maxCycles > 0) {
-        std::vector<Sm *> raw;
-        raw.reserve(sms.size());
-        for (auto &sm : sms) {
-            sm->setDeferredGmem(true);
-            raw.push_back(sm.get());
+    if (g_every_cycle_reference.load(std::memory_order_relaxed)) {
+        bool all_idle = false;
+        for (; cycles < cfg_.maxCycles && !all_idle; ++cycles) {
+            all_idle = true;
+            for (auto &sm : sms) {
+                sm->tickEveryCycle(cycles);
+                all_idle &= sm->idle();
+            }
         }
-        const ParallelLaunchOutcome out =
-            runSmsParallel(raw, cfg_.maxCycles, threads, kernel.name);
-        cycles = out.cycles;
-        watchdog = out.watchdog;
+        watchdog = !all_idle;
     } else {
         // Only awake SMs are ticked. A sleeping SM's cycles are
         // credited lazily, before its next tick and at the end: until

@@ -31,13 +31,23 @@ struct SimWork
     std::uint64_t smTicks = 0;        ///< SM cycles covered (cycles x SMs)
     std::uint64_t smTicksSkipped = 0; ///< credited without running phases
     std::uint64_t issueAttempts = 0;  ///< warp issue checks (Sm::issueWarp)
-    std::uint64_t smTickCalls = 0;    ///< Sm::tick calls (serial loop)
+    std::uint64_t smTickCalls = 0;    ///< Sm::tick calls (0 in reference)
 
     std::uint64_t smTicksSimulated() const
     {
         return smTicks - smTicksSkipped;
     }
 };
+
+/**
+ * Every-cycle reference loop, a process-wide launch default (off).
+ * When on, Gpu::launch ticks every SM every cycle through
+ * Sm::tickEveryCycle and no SM ever sleeps: the plain cycle loop whose
+ * counters the quiescence skip must reproduce exactly. Tests and the
+ * benchmark's traced pass set it; nothing user-facing does. It is not
+ * an ArchConfig field, so it never moves a fingerprint.
+ */
+void setEveryCycleReference(bool on);
 
 /**
  * A simulated GPU. Typical use:

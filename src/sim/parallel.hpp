@@ -1,142 +1,24 @@
 /**
  * @file
- * Deterministic intra-run parallelism: tick the independent SMs of one
- * launch on a small pool of worker threads while reproducing the
- * serial tick order at every shared seam, so a parallel run is
- * byte-identical to a serial one at any thread count.
- *
- * The serial loop interleaves SMs in a fixed order each cycle:
- *
- *   for each SM s in 0..N-1:
- *     writeback -> dispatchReady -> scheduleIssue -> retireCtas
- *       -> tryLaunchCtas;  all_idle &= s.idle()
- *
- * Three seams couple the SMs inside one cycle: MemorySystem (shared L2
- * and DRAM timing, mutated by dispatchReady), GlobalMemory (functional
- * loads/stores at issue), and CtaDispatcher (one CTA fetch per SM per
- * cycle). The parallel schedule splits a cycle into phases:
- *
- *   P1 writeback            parallel (SM-local)
- *   P2 dispatchReady        rolling SM-order handoff: preserves the
- *                           exact serial MemorySystem access order
- *   P3 scheduleIssue+retire parallel; global-memory stores are
- *                           deferred into a per-SM write log, loads
- *                           snoop that log first (program order within
- *                           an SM is preserved)
- *   -- barrier --
- *   P4 commit+launch+idle   rolling SM-order handoff: write logs
- *                           commit in SM order (serial WAW order),
- *                           CTA fetches happen in serial SM order, and
- *                           idle() is sampled exactly where the serial
- *                           loop samples it (after this SM's launch,
- *                           before the next SM's)
- *   -- barrier --           deterministic all-idle loop exit
- *
- * The only semantic difference from serial is a cross-SM *same-cycle*
- * global-memory read-after-write (SM j > i reading a word SM i wrote
- * this cycle): the deferred commit makes the read return the previous
- * value. No workload in the suite does this (kernels write disjoint
- * per-thread outputs); a commit-time detector warns once per launch if
- * one ever does.
- *
- * Thread count comes from GS_SIM_THREADS / --sim-threads (strictly
- * validated, default 1 = the untouched serial path) and is independent
- * of the cross-run GS_JOBS pool: GS_JOBS spreads runs over workers,
- * GS_SIM_THREADS spreads one run's SMs over cores.
+ * Compatibility shim, kept only for the end-to-end benchmark program
+ * (perfbench/), which still calls the retired intra-run threading API.
+ * Delete it once that program calls setEveryCycleReference() directly.
  */
 
 #ifndef GSCALAR_SIM_PARALLEL_HPP
 #define GSCALAR_SIM_PARALLEL_HPP
 
-#include <atomic>
-#include <optional>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "common/types.hpp"
+#include "gpu.hpp"
 
 namespace gs
 {
 
-class Sm;
-
-/**
- * Strict positive-integer parse for --sim-threads / GS_SIM_THREADS:
- * the whole string must be digits, in [1, 4096]. Empty optional on
- * anything else (same contract as parseJobsValue for GS_JOBS).
- */
-std::optional<unsigned> parseSimThreadsValue(const std::string &s);
-
-/**
- * Set the process-default intra-run thread count (the --sim-threads
- * flag). Takes precedence over $GS_SIM_THREADS, like --jobs over
- * $GS_JOBS. 0 restores "consult the environment".
- */
-void setSimThreads(unsigned threads);
-
-/**
- * Threads a launch should use: the setSimThreads() value if set, else
- * a validated $GS_SIM_THREADS (a malformed value is fatal, in the
- * GS_JOBS idiom), else 1 (serial).
- */
-unsigned resolveSimThreads();
-
-/** Outcome of the parallel cycle loop. */
-struct ParallelLaunchOutcome
+/** More than one "thread" selects the every-cycle reference loop. */
+inline void
+setSimThreads(unsigned threads)
 {
-    Cycle cycles = 0;      ///< cycles actually simulated
-    bool watchdog = false; ///< stopped by maxCycles, not by idleness
-};
-
-/**
- * Run the per-cycle phase schedule above over @p sms on @p threads
- * worker threads until every SM is idle or @p maxCycles is reached.
- * @p threads must be >= 2 and <= sms.size(); @p maxCycles >= 1.
- * @p kernelName is used by the same-cycle overlap warning.
- */
-ParallelLaunchOutcome runSmsParallel(const std::vector<Sm *> &sms,
-                                     Cycle maxCycles, unsigned threads,
-                                     const std::string &kernelName);
-
-namespace detail
-{
-
-/**
- * Sense-reversing centralised barrier. Spins briefly then yields, so
- * oversubscribed hosts (threads > cores) still make progress; atomics
- * only, so TSan sees the happens-before edges.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(unsigned parties) : parties_(parties) {}
-
-    void
-    wait()
-    {
-        const std::uint64_t gen = gen_.load(std::memory_order_acquire);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            parties_) {
-            arrived_.store(0, std::memory_order_relaxed);
-            gen_.fetch_add(1, std::memory_order_release);
-        } else {
-            unsigned spins = 0;
-            while (gen_.load(std::memory_order_acquire) == gen)
-                if (++spins >= kSpinsBeforeYield)
-                    std::this_thread::yield();
-        }
-    }
-
-  private:
-    static constexpr unsigned kSpinsBeforeYield = 128;
-
-    std::atomic<std::uint64_t> gen_{0};
-    std::atomic<unsigned> arrived_{0};
-    unsigned parties_;
-};
-
-} // namespace detail
+    setEveryCycleReference(threads > 1);
+}
 
 } // namespace gs
 

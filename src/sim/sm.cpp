@@ -52,7 +52,7 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
 
     // rf:stuck-array manufacturing faults: the stuck set is a pure
     // hash of (seed, SM, bank, array), fixed before the first cycle
-    // and identical at any --jobs/--sim-threads.
+    // and identical at any --jobs.
     stuckArraysPerBank_.assign(cfg.numBanks, 0);
     for (unsigned b = 0; b < cfg.numBanks; ++b) {
         for (unsigned a = 0; a < geo_.byteArrays(); ++a) {
@@ -121,13 +121,7 @@ Sm::tick(Cycle now)
     GS_ASSERT(now >= wakeAt_, "tick of a sleeping SM at ", now);
     ++tickCalls_;
     const StallCounts before = stallCounts();
-    bool progress = writeback(now);
-    progress |= dispatchReady(now);
-    progress |= scheduleIssue(now);
-    progress |= retireCtas(now);
-    progress |= tryLaunchCtas(now);
-    ++ev_.cycles;
-    if (progress) {
+    if (tickEveryCycle(now)) {
         wakeAt_ = now + 1;
         return;
     }
@@ -139,6 +133,18 @@ Sm::tick(Cycle now)
               after.ocFull - before.ocFull,
               after.pipeBusy - before.pipeBusy};
     wakeAt_ = nextWake(now);
+}
+
+bool
+Sm::tickEveryCycle(Cycle now)
+{
+    bool progress = writeback(now);
+    progress |= dispatchReady(now);
+    progress |= scheduleIssue(now);
+    progress |= retireCtas(now);
+    progress |= tryLaunchCtas(now);
+    ++ev_.cycles;
+    return progress;
 }
 
 void

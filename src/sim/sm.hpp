@@ -102,6 +102,14 @@ class Sm
      *  == now): the caller credits sleeping cycles with skipQuiet(). */
     void tick(Cycle now);
 
+    /** Run one cycle's phases and count the cycle, whether or not the
+     *  SM would sleep, and touch no quiescence state; true when a
+     *  phase made progress. tick() is this plus the sleep bookkeeping;
+     *  alone it is the every-cycle reference loop
+     *  (setEveryCycleReference) that tick() and skipQuiet() must
+     *  reproduce. */
+    bool tickEveryCycle(Cycle now);
+
     /** First cycle whose tick() must run the phases again: now + 1
      *  after a tick that made progress, kNoWake when no event is
      *  pending. Every cycle before it would repeat the last quiet tick. */
@@ -121,43 +129,6 @@ class Sm
     std::uint64_t tickCalls() const { return tickCalls_; }
 
     static constexpr Cycle kNoWake = ~Cycle{0};
-
-    // ---- phase entry points for deterministic parallel ticking ------------
-    // The parallel driver (sim/parallel.cpp) replays tick()'s phases
-    // across threads: writeback and issue/retire run concurrently
-    // (SM-local state only), dispatch and commit/launch run in an
-    // SM-ordered rolling handoff so the MemorySystem, GlobalMemory and
-    // CtaDispatcher see accesses in exactly the serial order.
-
-    /** Phase P1 (parallel): retire written-back packets. */
-    void phaseWriteback(Cycle now) { writeback(now); }
-
-    /** Phase P2 (SM-ordered): dispatch collectors, touching the shared
-     *  MemorySystem in serial SM order. */
-    void phaseDispatch(Cycle now) { dispatchReady(now); }
-
-    /** Phase P3 (parallel): issue + retire CTAs; global-memory stores
-     *  go to the per-SM write log (deferred mode). */
-    void phaseIssueRetire(Cycle now)
-    {
-        scheduleIssue(now);
-        retireCtas(now);
-    }
-
-    /** Phase P4 (SM-ordered): commit the write log in serial WAW
-     *  order, then fetch at most one CTA, then count the cycle. */
-    void phaseCommitLaunch(Cycle now)
-    {
-        gtxn_.commit();
-        tryLaunchCtas(now);
-        ++ev_.cycles;
-    }
-
-    /** Buffer global-memory stores per cycle (parallel ticking). */
-    void setDeferredGmem(bool on) { gtxn_.setDeferred(on); }
-
-    /** This SM's global-memory view (parallel driver: logs + commit). */
-    const GmemTxn &gmemTxn() const { return gtxn_; }
 
     /** No resident CTAs, none fetchable, and no in-flight work. */
     bool idle() const;
@@ -274,7 +245,7 @@ class Sm
     LaunchDims dims_;
     Tracer *tracer_ = nullptr;
     GlobalMemory &gmem_;
-    GmemTxn gtxn_; ///< this SM's (possibly deferred) view of gmem_
+    GmemTxn gtxn_; ///< this SM's view of gmem_
     MemorySystem &memsys_;
     CtaDispatcher &dispatcher_;
 

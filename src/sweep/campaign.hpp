@@ -8,9 +8,8 @@
  *
  * Determinism contract: the final aggregate is computed in point-index
  * order from counters only (never wall clock), so it is byte-identical
- * at any --jobs / --sim-threads, across daemon vs in-process
- * scheduling, and across a --resume after SIGKILL versus an
- * uninterrupted run.
+ * at any --jobs, across daemon vs in-process scheduling, and across a
+ * --resume after SIGKILL versus an uninterrupted run.
  *
  * Hardening ladder, mirroring the engine's (PR 4):
  *  - each point gets bounded retries with backoff, the retry under a

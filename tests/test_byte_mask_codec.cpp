@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/bit_utils.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "compress/byte_mask_codec.hpp"
+#include "compress/simd.hpp"
+#include "harness/report.hpp"
+#include "harness/runner.hpp"
 
 namespace gs
 {
@@ -149,6 +154,136 @@ INSTANTIATE_TEST_SUITE_P(
     AllPrefixesAndWidths, ByteMaskRoundtrip,
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
                        ::testing::Values(2u, 8u, 16u, 32u, 64u)));
+
+// ------------------------------------------- cpu dispatch (compress/simd.hpp)
+// Every GS_SIMD level must give bit-identical codec results; csvRow
+// covers every event counter and power component, so the end-to-end
+// check is bit-level determinism of a whole simulation.
+
+/** Restore the auto-detected SIMD level on scope exit. */
+struct SimdLevelAtExit
+{
+    ~SimdLevelAtExit() { clearSimdLevelOverride(); }
+};
+
+TEST(SimdDispatch, ParseAcceptsKnownLevels)
+{
+    EXPECT_EQ(parseSimdLevel("off"), SimdLevel::Off);
+    EXPECT_EQ(parseSimdLevel("swar"), SimdLevel::Swar);
+    EXPECT_EQ(parseSimdLevel("avx2"), SimdLevel::Avx2);
+}
+
+TEST(SimdDispatch, ParseRejectsUnknownNames)
+{
+    for (const char *bad : {"", "OFF", "sse", "avx512", "auto", " off"})
+        EXPECT_FALSE(parseSimdLevel(bad).has_value())
+            << "'" << bad << "' should be rejected";
+}
+
+TEST(SimdDispatch, NamesRoundTrip)
+{
+    for (const SimdLevel l :
+         {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2})
+        EXPECT_EQ(parseSimdLevel(simdLevelName(l)), l);
+}
+
+TEST(SimdDispatch, BaselineLevelsAlwaysSupported)
+{
+    EXPECT_TRUE(simdLevelSupported(SimdLevel::Off));
+    EXPECT_TRUE(simdLevelSupported(SimdLevel::Swar));
+}
+
+// ------------------------------------------------------- codec equivalence
+
+std::vector<SimdLevel>
+supportedLevels()
+{
+    std::vector<SimdLevel> out;
+    for (const SimdLevel l :
+         {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2})
+        if (simdLevelSupported(l))
+            out.push_back(l);
+    return out;
+}
+
+TEST(SimdDispatch, AllLevelsAgreeOnAnalyze)
+{
+    SimdLevelAtExit restore;
+    Rng rng(7);
+    for (unsigned trial = 0; trial < 400; ++trial) {
+        const unsigned lanes = 1 + rng.next32() % 64;
+        std::vector<Word> values(lanes);
+        const unsigned family = rng.next32() % 4;
+        for (unsigned i = 0; i < lanes; ++i) {
+            switch (family) {
+              case 0: values[i] = 0xC04039C0; break;
+              case 1: values[i] = 0xC04039C0 + i * 8; break;
+              case 2: values[i] = 0xC0400000 + i * 1024; break;
+              default: values[i] = rng.next32(); break;
+            }
+        }
+        LaneMask active = rng.next64() & laneMaskLow(lanes);
+        if (active == 0)
+            active = 1;
+
+        setSimdLevel(SimdLevel::Off);
+        const ByteMaskEncoding ref = analyzeByteMask(values, active);
+        for (const SimdLevel l : supportedLevels()) {
+            setSimdLevel(l);
+            const ByteMaskEncoding got = analyzeByteMask(values, active);
+            EXPECT_EQ(ref.commonMsbs, got.commonMsbs)
+                << "trial " << trial << " level " << simdLevelName(l);
+            EXPECT_EQ(ref.base, got.base)
+                << "trial " << trial << " level " << simdLevelName(l);
+        }
+    }
+}
+
+TEST(SimdDispatch, AllLevelsAgreeOnCompressedBytes)
+{
+    SimdLevelAtExit restore;
+    Rng rng(11);
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        const unsigned lanes = 1 + rng.next32() % 64;
+        std::vector<Word> values(lanes);
+        const unsigned family = rng.next32() % 4;
+        for (unsigned i = 0; i < lanes; ++i) {
+            switch (family) {
+              case 0: values[i] = 0xDEADBEEF; break;
+              case 1: values[i] = 0xDEADBE00 + i; break;
+              case 2: values[i] = 0xDEAD0000 + i * 257; break;
+              default: values[i] = rng.next32(); break;
+            }
+        }
+
+        setSimdLevel(SimdLevel::Off);
+        const std::vector<std::uint8_t> ref = byteMaskCompress(values);
+        const unsigned msbs =
+            analyzeByteMask(values, laneMaskLow(lanes)).commonMsbs;
+        EXPECT_EQ(byteMaskDecompress(ref, msbs, lanes), values);
+        for (const SimdLevel l : supportedLevels()) {
+            setSimdLevel(l);
+            EXPECT_EQ(ref, byteMaskCompress(values))
+                << "trial " << trial << " level " << simdLevelName(l);
+        }
+    }
+}
+
+TEST(SimdDispatch, SimdLevelsByteIdenticalEndToEnd)
+{
+    setQuiet(true);
+    SimdLevelAtExit restoreSimd;
+
+    setSimdLevel(SimdLevel::Off);
+    ArchConfig cfg;
+    const std::string ref = csvRow(runWorkload("BP", cfg));
+
+    for (const SimdLevel l : supportedLevels()) {
+        setSimdLevel(l);
+        EXPECT_EQ(ref, csvRow(runWorkload("BP", cfg)))
+            << "GS_SIMD=" << simdLevelName(l);
+    }
+}
 
 } // namespace
 } // namespace gs

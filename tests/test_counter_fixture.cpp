@@ -4,11 +4,13 @@
  * off-default SM shapes, pinned in tests/data/sm_counters.txt. csvRow
  * covers every event counter and power component, so any change to
  * what the SM core models (rather than how fast it models it) shows up
- * here, under the serial and the threaded driver alike.
+ * here. Both launch loops must reproduce the rows: the event-driven
+ * one, which skips quiescent cycles, and the every-cycle reference
+ * (setEveryCycleReference), which ticks every SM every cycle. A bug in
+ * the skip fails only the first.
  *
- * The rows were recorded on a commit whose counters were cross-checked
- * against the threaded driver and the golden bench output. Regenerate
- * them only for an intended model change, from the repository root:
+ * Regenerate the rows only for an intended model change, from the
+ * repository root; it refuses to write unless both loops agree:
  *
  *   build/tests/gscalar_tests --gtest_also_run_disabled_tests \
  *       --gtest_filter=CounterFixture.DISABLED_Regenerate
@@ -24,7 +26,7 @@
 #include "common/log.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
-#include "sim/parallel.hpp"
+#include "sim/gpu.hpp"
 #include "workloads/workload.hpp"
 
 namespace gs
@@ -85,10 +87,20 @@ fixtureCases()
     return out;
 }
 
-std::string
-fixtureLine(const Case &c)
+/** Every case's fixture line, under the reference loop or not. */
+std::vector<std::string>
+fixtureLines(bool everyCycle)
 {
-    return c.shape + "," + csvRow(runWorkload(c.workload, c.cfg));
+    struct Restore
+    {
+        ~Restore() { setEveryCycleReference(false); }
+    } restore;
+    setEveryCycleReference(everyCycle);
+    std::vector<std::string> out;
+    for (const Case &c : fixtureCases())
+        out.push_back(c.shape + "," +
+                      csvRow(runWorkload(c.workload, c.cfg)));
+    return out;
 }
 
 /** Fixture lines in order, comments and blank lines dropped. */
@@ -103,33 +115,48 @@ readFixture()
     return lines;
 }
 
-struct SimThreadsAtExit
-{
-    ~SimThreadsAtExit() { setSimThreads(0); }
-};
-
-TEST(CounterFixture, SerialRunsReproducePinnedCounters)
+void
+expectPinned(bool everyCycle)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
-    setSimThreads(1);
     const std::vector<Case> cases = fixtureCases();
     const std::vector<std::string> pinned = readFixture();
     ASSERT_EQ(pinned.size(), cases.size()) << GS_COUNTER_FIXTURE;
+    const std::vector<std::string> lines = fixtureLines(everyCycle);
     for (std::size_t i = 0; i < cases.size(); ++i)
-        EXPECT_EQ(pinned[i], fixtureLine(cases[i]))
+        EXPECT_EQ(pinned[i], lines[i])
             << cases[i].shape << "/" << cases[i].workload;
+}
+
+// Two tests, so that ctest -j runs the loops concurrently.
+TEST(CounterFixture, SerialRunsReproducePinnedCounters)
+{
+    expectPinned(false);
+}
+
+TEST(CounterFixture, EveryCycleReferenceReproducesPinnedCounters)
+{
+    expectPinned(true);
 }
 
 TEST(CounterFixture, DISABLED_Regenerate)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
-    setSimThreads(1);
+    const std::vector<Case> cases = fixtureCases();
+    const std::vector<std::string> lines = fixtureLines(false);
+    const std::vector<std::string> reference = fixtureLines(true);
+    bool agree = true;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(reference[i], lines[i])
+            << cases[i].shape << "/" << cases[i].workload;
+        agree = agree && reference[i] == lines[i];
+    }
+    ASSERT_TRUE(agree) << "the loops disagree; not writing "
+                       << GS_COUNTER_FIXTURE;
     std::ofstream out(GS_COUNTER_FIXTURE);
     out << "# shape," << csvHeader() << "\n";
-    for (const Case &c : fixtureCases())
-        out << fixtureLine(c) << "\n";
+    for (const std::string &line : lines)
+        out << line << "\n";
     ASSERT_TRUE(out.good()) << GS_COUNTER_FIXTURE;
 }
 

@@ -76,6 +76,20 @@ TEST(FaultSpecParse, SweepSiteIsAccepted)
     EXPECT_NE(err.find("sweep"), std::string::npos);
 }
 
+TEST(FaultSpecParse, RetiredSimSiteIsRejected)
+{
+    FaultInjector inj;
+    std::string err;
+    EXPECT_FALSE(inj.configure("sim:slow:0.1", &err));
+    EXPECT_FALSE(inj.armed());
+    EXPECT_NE(err.find("unknown fault site 'sim'"), std::string::npos)
+        << err;
+    // The message lists the valid sites, and "sim" is not one of them.
+    EXPECT_NE(err.find("store, serve, engine, gen, rf or sweep"),
+              std::string::npos)
+        << err;
+}
+
 TEST(FaultSpecParse, ValidSpecsArm)
 {
     FaultInjector inj;

@@ -50,6 +50,36 @@ TEST(GlobalMemory, FillAndReadWords)
     EXPECT_EQ(v, (std::vector<Word>{1, 2, 3, 4}));
 }
 
+TEST(GmemTxn, AbsentPageReadsZeroAndIsNotCached)
+{
+    GlobalMemory m;
+    GmemTxn reader(m), writer(m);
+    EXPECT_EQ(reader.readWord(0x3000), 0u);
+    EXPECT_EQ(m.pageCount(), 0u); // the read allocated nothing
+    // Another SM creates the page: the reader must see it, not a
+    // cached "absent".
+    writer.writeWord(0x3004, 0xabcd);
+    EXPECT_EQ(reader.readWord(0x3004), 0xabcdu);
+    EXPECT_EQ(reader.readWord(0x3000), 0u);
+}
+
+TEST(GmemTxn, CachedPageSeesOtherWriters)
+{
+    GlobalMemory m;
+    m.writeWord(0x5000, 1);
+    GmemTxn reader(m), writer(m);
+    EXPECT_EQ(reader.readWord(0x5000), 1u); // caches the page
+    writer.writeWord(0x5000, 2);
+    writer.writeWord(0x5ffc, 3);
+    EXPECT_EQ(reader.readWord(0x5000), 2u);
+    EXPECT_EQ(reader.readWord(0x5ffc), 3u);
+    // Switching pages and back still reads through.
+    writer.writeWord(0x6000, 4);
+    EXPECT_EQ(reader.readWord(0x6000), 4u);
+    EXPECT_EQ(reader.readWord(0x5000), 2u);
+    EXPECT_EQ(m.readWord(0x5ffc), 3u); // writes go straight through
+}
+
 TEST(GlobalMemoryDeath, UnalignedAccessPanics)
 {
     GlobalMemory m;

@@ -2,9 +2,10 @@
  * @file
  * The event-driven SM core (sim/sm.hpp, "Quiescence"): sleeping SMs and
  * the global cycle jump in Gpu::launch must give exactly the counters
- * that ticking every cycle gives. The threaded driver (sim/parallel.*)
- * still ticks every cycle, so it is the oracle here. The host-work
- * counters (SimWork) are deterministic and ratcheted.
+ * and memory image that ticking every cycle gives. The every-cycle
+ * reference loop (setEveryCycleReference) is the oracle here; two test
+ * names still call it "Threaded". The host-work counters (SimWork)
+ * are deterministic and ratcheted.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "harness/runner.hpp"
 #include "isa/kernel_builder.hpp"
 #include "sim/gpu.hpp"
-#include "sim/parallel.hpp"
 #include "workloads/workload.hpp"
 
 namespace gs
@@ -24,11 +24,35 @@ namespace gs
 namespace
 {
 
-/** Restore the --sim-threads default (env consult) on scope exit. */
-struct SimThreadsAtExit
+/** Launches in this scope run the every-cycle reference loop. */
+struct EveryCycleScope
 {
-    ~SimThreadsAtExit() { setSimThreads(0); }
+    EveryCycleScope() { setEveryCycleReference(true); }
+    ~EveryCycleScope() { setEveryCycleReference(false); }
 };
+
+/** out[gtid] = gtid + 7: every thread stores a distinct word, so the
+ *  memory image is a full fingerprint of the execution. */
+Kernel
+gridKernel()
+{
+    KernelBuilder kb("quiescence-grid");
+    const Reg tid = kb.reg();
+    const Reg ctaid = kb.reg();
+    const Reg ntid = kb.reg();
+    const Reg gtid = kb.reg();
+    kb.s2r(tid, SReg::Tid);
+    kb.s2r(ctaid, SReg::CtaId);
+    kb.s2r(ntid, SReg::NTid);
+    kb.imad(gtid, ctaid, ntid, tid);
+    const Reg v = kb.reg();
+    kb.iaddi(v, gtid, 7);
+    const Reg addr = kb.reg();
+    kb.shli(addr, gtid, 2);
+    kb.iaddi(addr, addr, 0x100000);
+    kb.stg(addr, v);
+    return kb.build();
+}
 
 /** Warp 0 of every CTA EXITs; the others wait at a BAR it never
  *  reaches, so the grid deadlocks and only the watchdog ends it. */
@@ -59,18 +83,19 @@ deadlockConfig(Cycle max_cycles)
 TEST(Quiescence, DeadlockReachesWatchdogWithExtrapolatedCounters)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     const Workload w = deadlockWorkload();
     const Cycle kFull = ArchConfig{}.maxCycles;
     const Cycle kShort = 100'000, kStep = 1'000;
 
     // Ticking oracle: counters at two watchdog limits, both well past
     // the point where the grid has settled into its deadlock.
-    setSimThreads(2);
-    const RunResult lo = runWorkload(w, deadlockConfig(kShort));
-    const RunResult hi = runWorkload(w, deadlockConfig(kShort + kStep));
+    RunResult lo, hi;
+    {
+        EveryCycleScope reference;
+        lo = runWorkload(w, deadlockConfig(kShort));
+        hi = runWorkload(w, deadlockConfig(kShort + kStep));
+    }
 
-    setSimThreads(1);
     Gpu gpu(deadlockConfig(kFull));
     const auto t0 = std::chrono::steady_clock::now();
     const EventCounts ev = gpu.launch(w.launches[0].kernel,
@@ -107,33 +132,70 @@ TEST(Quiescence, DeadlockReachesWatchdogWithExtrapolatedCounters)
 TEST(Quiescence, DeadlockSerialMatchesThreadedAtWatchdog)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     const Workload w = deadlockWorkload();
     const ArchConfig cfg = deadlockConfig(100'000);
 
-    setSimThreads(1);
     const RunResult serial = runWorkload(w, cfg);
-    setSimThreads(2);
-    const RunResult threaded = runWorkload(w, cfg);
+    EveryCycleScope reference;
+    const RunResult ticked = runWorkload(w, cfg);
     EXPECT_EQ(serial.ev.cycles, 100'000u);
-    EXPECT_EQ(csvRow(serial), csvRow(threaded));
+    EXPECT_EQ(csvRow(serial), csvRow(ticked));
 }
 
-// The suite-wide serial-vs-threaded test runs GTO only; the skip must
-// also keep LRR's cursor and stall counts exact.
+// CounterFixture compares the two loops on the suite in GTO order and
+// on LRR for four workloads; LRR's cursor and stall counts must also
+// stay exact on these.
 TEST(Quiescence, LrrSerialMatchesThreaded)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     ArchConfig cfg;
     cfg.mode = ArchMode::GScalarFull;
     cfg.schedPolicy = SchedPolicy::LooseRoundRobin;
     for (const char *name : {"LC", "SR2"}) {
-        setSimThreads(1);
         const std::string serial = csvRow(runWorkload(name, cfg));
-        setSimThreads(2);
+        EveryCycleScope reference;
         EXPECT_EQ(serial, csvRow(runWorkload(name, cfg))) << name;
     }
+}
+
+TEST(Quiescence, ReferenceMatchesSerialMemoryAndCounters)
+{
+    setQuiet(true);
+    ArchConfig cfg;
+    cfg.numSms = 4;
+
+    Gpu serial(cfg);
+    const EventCounts ref = serial.launch(gridKernel(), {20, 96});
+
+    EveryCycleScope reference;
+    Gpu ticked(cfg);
+    const EventCounts got = ticked.launch(gridKernel(), {20, 96});
+    EXPECT_EQ(ref.cycles, got.cycles);
+    EXPECT_EQ(ref.warpInsts, got.warpInsts);
+    EXPECT_EQ(ref.threadInsts, got.threadInsts);
+    for (unsigned g = 0; g < 20 * 96; ++g)
+        ASSERT_EQ(serial.memory().readWord(0x100000 + 4 * g),
+                  ticked.memory().readWord(0x100000 + 4 * g))
+            << "gtid " << g;
+    // No SM sleeps in the reference loop.
+    EXPECT_EQ(ticked.lastLaunchWork().smTicksSkipped, 0u);
+    EXPECT_EQ(ticked.lastLaunchWork().smTicks, 4 * got.cycles);
+}
+
+TEST(Quiescence, WatchdogReportsExactlyMaxCycles)
+{
+    setQuiet(true);
+    ArchConfig cfg;
+    cfg.numSms = 4;
+    cfg.maxCycles = 50; // far too few for the grid: watchdog fires
+
+    Gpu serial(cfg);
+    EXPECT_EQ(serial.launch(gridKernel(), {20, 96}).cycles, 50u);
+
+    EveryCycleScope reference;
+    Gpu ticked(cfg);
+    EXPECT_EQ(ticked.launch(gridKernel(), {20, 96}).cycles, 50u);
+    EXPECT_EQ(ticked.lastLaunchWork().smTicks, 4 * 50u);
 }
 
 void
@@ -172,8 +234,6 @@ constexpr double kMvIssueAttemptsPerSmCycle = 0.057; // measured 0.0564
 TEST(Quiescence, MvHostWorkRatchet)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
-    setSimThreads(1);
     EventCounts ev;
     const SimWork sum = launchWork("MV", ArchConfig{}, ev);
     ASSERT_GT(sum.smTicks, 0u);
@@ -196,8 +256,6 @@ constexpr double kSuiteIssueAttemptsPerIssuedInst = 1.632; // measured 1.6318
 TEST(Quiescence, SuiteHostWorkRatchet)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
-    setSimThreads(1);
     EventCounts ev;
     SimWork total;
     for (const std::string &name : workloadNames())

@@ -36,7 +36,6 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sim/gpu.hpp"
-#include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "sweep/campaign.hpp"
 
@@ -80,8 +79,8 @@ printUsage(std::ostream &os)
     os << "\n"
           "  gscalar <command> --help shows the command's options.\n"
           "  --jobs/-j N (or GS_JOBS=N) sets the simulation worker\n"
-          "  pool size; --sim-threads N (or GS_SIM_THREADS=N) ticks\n"
-          "  one run's SMs on N threads (byte-identical to serial);\n"
+          "  pool size (--sim-threads N / GS_SIM_THREADS=N are\n"
+          "  accepted for one release and ignored, with a warning);\n"
           "  GS_SIMD=off|swar|avx2 pins the codec kernels;\n"
           "  --codec NAME (or GS_CODEC=NAME) selects the RF\n"
           "  compression codec (byte-mask, bdi, static-profile,\n"
@@ -227,13 +226,8 @@ parseFlags(int argc, char **argv, int first, Options &opt)
                          "' (want an integer in [1, 4096])");
             setDefaultJobs(*jobs);
         } else if (a == "--sim-threads") {
-            const std::string v = need("--sim-threads");
-            const std::optional<unsigned> threads =
-                parseSimThreadsValue(v);
-            if (!threads)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setSimThreads(*threads);
+            need("--sim-threads");
+            ignoreSimThreads(true);
         } else
             GS_FATAL("unknown option '", a, "'");
     }
@@ -557,13 +551,8 @@ cmdServe(int argc, char **argv)
                          "' (want an integer in [1, 4096])");
             setDefaultJobs(*jobs);
         } else if (a == "--sim-threads") {
-            const std::string v = need("--sim-threads");
-            const std::optional<unsigned> threads =
-                parseSimThreadsValue(v);
-            if (!threads)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setSimThreads(*threads);
+            need("--sim-threads");
+            ignoreSimThreads(true);
         } else
             GS_FATAL("unknown option '", a, "'");
     }
@@ -737,7 +726,7 @@ cmdSubmit(int argc, char **argv)
 int
 cmdFuzz(int argc, char **argv)
 {
-    initHarness(argc, argv); // --jobs/--sim-threads/--cache/--fault
+    initHarness(argc, argv); // --jobs/--cache/--fault
 
     FuzzOptions opt;
     // Environment defaults are validated even when a flag overrides
@@ -848,7 +837,7 @@ cmdFuzz(int argc, char **argv)
 int
 cmdSweep(int argc, char **argv)
 {
-    initHarness(argc, argv); // --jobs/--sim-threads/--cache/--fault
+    initHarness(argc, argv); // --jobs/--cache/--fault
 
     SweepOptions sopt;
     ResultFormat format = ResultFormat::Text;
@@ -993,7 +982,6 @@ commands()
          "  --json       flat JSON object of every metric\n"
          "  --power      append the power breakdown\n"
          "  --jobs/-j N  worker pool size\n"
-         "  --sim-threads N  intra-run SM threads (GS_SIM_THREADS)\n"
          "  --cache      persist runs on disk (GS_CACHE_DIR)\n",
          cmdRun},
         {"suite", "[options]",
@@ -1001,7 +989,6 @@ commands()
          "  --mode M     architecture (default baseline)\n"
          "  --csv        full counter matrix as CSV\n"
          "  --jobs/-j N  worker pool size\n"
-         "  --sim-threads N  intra-run SM threads (GS_SIM_THREADS)\n"
          "  --cache      persist runs on disk\n",
          cmdSuite},
         {"bench", "[--list] [--only=NAME[,NAME]] [--format=F]",
@@ -1012,7 +999,6 @@ commands()
          "  --format=F      text (default; golden reference bytes),\n"
          "                  json (one document per experiment) or csv\n"
          "  --jobs/-j N     worker pool size\n"
-         "  --sim-threads N intra-run SM threads (GS_SIM_THREADS)\n"
          "  --codec C       RF compression codec (GS_CODEC)\n"
          "  --cache         persist runs on disk\n"
          "  --fault SPEC    inject faults (site:kind:rate[:seed],\n"
@@ -1066,7 +1052,6 @@ commands()
          "                         engine (default: workers + 2)\n"
          "  --fault SPEC           inject faults (same as $GS_FAULT)\n"
          "  --jobs/-j N            worker pool size\n"
-         "  --sim-threads N        intra-run SM threads per request\n"
          "  --codec C              default RF codec (GS_CODEC)\n"
          "  --cache                persist runs on disk\n"
          "\n"
@@ -1108,7 +1093,6 @@ commands()
          "                  mismatch reproduces\n"
          "  --no-engine     skip the ExperimentEngine traffic leg\n"
          "  --jobs/-j N     diff worker threads\n"
-         "  --sim-threads N intra-run SM threads (GS_SIM_THREADS)\n"
          "  --codec C       RF codec for the compression modes\n"
          "                  (GS_CODEC)\n"
          "  --fault SPEC    inject faults (gen:miscompare exercises\n"
@@ -1118,8 +1102,8 @@ commands()
          "  each mode and the per-thread reference interpreter; any\n"
          "  disagreement is delta-debugged to a minimal reproducer.\n"
          "  Campaigns are deterministic: same seed and knobs, same\n"
-         "  kernels and same stdout bytes, at any --jobs or\n"
-         "  --sim-threads. Exit 0 iff no kernel miscompared.\n",
+         "  kernels and same stdout bytes, at any --jobs.\n"
+         "  Exit 0 iff no kernel miscompared.\n",
          cmdFuzz},
         {"sweep", "<MANIFEST.json> [--resume] [--expand] [options]",
          "run a journaled multi-point campaign from a manifest",
@@ -1146,7 +1130,6 @@ commands()
          "                   (default ~10 lines per campaign)\n"
          "  --format F       text (default), json or csv\n"
          "  --jobs/-j N      worker pool size\n"
-         "  --sim-threads N  intra-run SM threads (GS_SIM_THREADS)\n"
          "  --cache          persist runs on disk (GS_CACHE_DIR)\n"
          "  --fault SPEC     inject faults; sweep sites:\n"
          "                   journal-torn-write, journal-bit-flip,\n"
@@ -1206,12 +1189,7 @@ main(int argc, char **argv)
                      "' is not a valid worker count "
                      "(want an integer in [1, 4096])");
     }
-    if (const char *env = std::getenv("GS_SIM_THREADS")) {
-        if (!parseSimThreadsValue(env))
-            GS_FATAL("GS_SIM_THREADS='", env,
-                     "' is not a valid thread count "
-                     "(want an integer in [1, 4096])");
-    }
+    ignoreSimThreads(false);
     // Likewise force GS_FAULT / GS_SIMD / GS_CODEC validation before
     // any work starts.
     faultInjector();

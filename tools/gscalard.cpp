@@ -25,7 +25,6 @@
 #include "gen/generator.hpp"
 #include "harness/engine.hpp"
 #include "serve/server.hpp"
-#include "sim/parallel.hpp"
 
 #ifndef GS_VERSION
 #define GS_VERSION "0.0.0-dev"
@@ -81,8 +80,6 @@ printUsage(std::ostream &os)
         "                       (site:kind:rate[:seed], comma-\n"
         "                       separated; same as $GS_FAULT)\n"
         "  --jobs/-j N          worker pool size (or GS_JOBS=N)\n"
-        "  --sim-threads N      intra-run SM threads per request\n"
-        "                       (or GS_SIM_THREADS=N)\n"
         "  --codec NAME         default RF compression codec\n"
         "                       (byte-mask, bdi, static-profile,\n"
         "                       rrcd; or GS_CODEC=NAME)\n"
@@ -157,13 +154,8 @@ main(int argc, char **argv)
                          "' (want an integer in [1, 4096])");
             setDefaultJobs(*jobs);
         } else if (a == "--sim-threads") {
-            const std::string v = need("--sim-threads");
-            const std::optional<unsigned> threads =
-                parseSimThreadsValue(v);
-            if (!threads)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setSimThreads(*threads);
+            need("--sim-threads");
+            ignoreSimThreads(true);
         } else {
             printUsage(std::cerr);
             return 2;
@@ -175,12 +167,7 @@ main(int argc, char **argv)
                      "' is not a valid worker count "
                      "(want an integer in [1, 4096])");
     }
-    if (const char *env = std::getenv("GS_SIM_THREADS")) {
-        if (!parseSimThreadsValue(env))
-            GS_FATAL("GS_SIM_THREADS='", env,
-                     "' is not a valid thread count "
-                     "(want an integer in [1, 4096])");
-    }
+    ignoreSimThreads(false);
     // Validate $GS_FAULT / $GS_SIMD / $GS_CODEC now rather than at
     // the first injected seam or compressed write-back.
     faultInjector();
