@@ -10,7 +10,7 @@
  *   runs/s         distinct-seed runs pushed through the experiment
  *                  engine's worker pool (the cross-run GS_JOBS axis)
  *   codec GB/s     classify + compress throughput of the byte-mask
- *                  codec at every supported GS_SIMD level
+ *                  codec's one plain kernel
  *
  * The committed baseline lives at BENCH_sim_core.json (repo root);
  * refresh it with:
@@ -36,7 +36,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "compress/byte_mask_codec.hpp"
-#include "compress/simd.hpp"
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
 #include "obs/result.hpp"
@@ -110,11 +109,10 @@ engineRow(Table &t)
            Table::num(secs, 3)});
 }
 
-/** Classify + compress throughput for one SIMD level. */
+/** Classify + compress throughput of the byte-mask codec. */
 void
-codecRows(Table &t, SimdLevel level)
+codecRows(Table &t)
 {
-    setSimdLevel(level);
     constexpr unsigned kLanes = 32;
     constexpr unsigned kFamilies = 4;
     constexpr std::size_t kIters = 1'500'000;
@@ -133,9 +131,7 @@ codecRows(Table &t, SimdLevel level)
         for (const auto &v : inputs)
             sink += analyzeByteMask(v, full).commonMsbs;
     double secs = secondsSince(t0);
-    std::ostringstream l1;
-    l1 << "codec classify simd=" << simdLevelName(level);
-    t.row({l1.str(), "GB/s",
+    t.row({"codec classify", "GB/s",
            Table::num(bytesPerIter * double(kIters) / secs / 1e9, 3),
            Table::num(secs, 3)});
 
@@ -146,15 +142,12 @@ codecRows(Table &t, SimdLevel level)
         for (const auto &v : inputs)
             bytes += byteMaskCompress(v).size();
     secs = secondsSince(t0);
-    std::ostringstream l2;
-    l2 << "codec compress simd=" << simdLevelName(level);
-    t.row({l2.str(), "GB/s",
+    t.row({"codec compress", "GB/s",
            Table::num(bytesPerIter * double(kIters / 4) / secs / 1e9,
                       3),
            Table::num(secs, 3)});
     if (sink == 0 && bytes == 0)
         std::cerr << ""; // keep the measured loops observable
-    clearSimdLevelOverride();
 }
 
 std::string
@@ -214,12 +207,7 @@ main(int argc, char **argv)
 
     simMixRow(t);
     engineRow(t);
-    for (const SimdLevel level :
-         {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2}) {
-        if (!simdLevelSupported(level))
-            continue; // e.g. avx2 on a non-AVX2 host
-        codecRows(t, level);
-    }
+    codecRows(t);
 
     const SuiteResult result = makeSuiteResult(
         "perf_sim_core", "perf", t);

@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "types.hpp"
 
@@ -64,35 +63,6 @@ constexpr bool
 isPow2(std::uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
-}
-
-/**
- * Load two adjacent 32-bit words as one 64-bit SWAR lane pair. Each
- * aligned 4-byte half of the result equals one input word exactly
- * (memcpy keeps native endianness), so word-positional operations like
- * XOR against a replicated base work on both halves at once.
- */
-inline std::uint64_t
-loadWordPair(const Word *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-/** Replicate a 32-bit word into both halves of a 64-bit SWAR value. */
-constexpr std::uint64_t
-broadcastWord(Word w)
-{
-    return std::uint64_t{w} * 0x1'0000'0001ull;
-}
-
-/** OR the two 32-bit halves of a SWAR accumulator together. */
-constexpr std::uint32_t
-foldWordPair(std::uint64_t v)
-{
-    return static_cast<std::uint32_t>(v) |
-           static_cast<std::uint32_t>(v >> 32);
 }
 
 /**

@@ -81,11 +81,11 @@ codecIdList()
 CodecId
 defaultCodecId()
 {
-    const int ov = g_override.load(std::memory_order_relaxed);
-    if (ov != kNoOverride)
-        return CodecId(ov);
+    // Resolve $GS_CODEC even under an override, so a bad value is
+    // fatal whether or not a --codec flag came first.
     static const CodecId resolved = resolveEnv();
-    return resolved;
+    const int ov = g_override.load(std::memory_order_relaxed);
+    return ov != kNoOverride ? CodecId(ov) : resolved;
 }
 
 void

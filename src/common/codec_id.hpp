@@ -45,10 +45,11 @@ std::string codecIdList();
 
 /**
  * The codec new top-level runs select: the setDefaultCodecId()
- * override if present, else a validated $GS_CODEC (unknown names are
- * fatal, in the GS_JOBS idiom), else ByteMask. Entry points apply this
- * to the configs they build; ArchConfig itself always defaults to
- * ByteMask so deserialization and tests stay hermetic.
+ * override if present, else $GS_CODEC, else ByteMask. $GS_CODEC is
+ * validated on the first call either way (unknown names are fatal, in
+ * the GS_JOBS idiom). Entry points apply this to the configs they
+ * build; ArchConfig itself always defaults to ByteMask so
+ * deserialization and tests stay hermetic.
  */
 CodecId defaultCodecId();
 

@@ -1,31 +1,10 @@
 #include "byte_mask_codec.hpp"
 
-#include "byte_mask_simd.hpp"
 #include "common/bit_utils.hpp"
 #include "common/log.hpp"
-#include "simd.hpp"
 
 namespace gs
 {
-
-namespace
-{
-
-/** Portable reference sweep: one lane at a time, no SWAR tricks. */
-std::uint32_t
-diffScalar(std::span<const Word> values, LaneMask active, Word base)
-{
-    std::uint32_t diff = 0;
-    for (unsigned lane = 0; lane < unsigned(values.size()); ++lane) {
-        if (active & (LaneMask{1} << lane))
-            diff |= values[lane] ^ base;
-        if (diff & 0xFF00'0000u)
-            break; // common count is already 0
-    }
-    return diff;
-}
-
-} // namespace
 
 unsigned
 encBitsFor(unsigned common_msbs)
@@ -55,45 +34,19 @@ analyzeByteMask(std::span<const Word> values, LaneMask active)
     // broadcast of an active lane's value (Fig. 7 (a)). Comparing every
     // active lane against the first active lane is equivalent, and the
     // common-MSB count across lanes equals the leading-zero-byte count
-    // of the OR of all per-lane XORs against the base — which lets the
-    // software model reduce two lanes per 64-bit word instead of
-    // looping over bytes.
-    const unsigned lanes = unsigned(values.size());
-    const bool allActive =
-        (active & laneMaskLow(lanes)) == laneMaskLow(lanes);
-    // Dispatch to the fastest enabled inner loop (simd.hpp). Every
-    // level's diff agrees in the bits that decide the common-MSB
-    // count: an early exit only ever happens once an MSB byte differs,
-    // which pins the count to 0 regardless of the skipped lanes.
-    SimdLevel level = activeSimdLevel();
-    if (level == SimdLevel::Avx2 && lanes < 8)
-        level = SimdLevel::Swar; // narrow groups: vector setup loses
-
+    // of the OR of all per-lane XORs against the base. The sweep has
+    // no early exit: that keeps the loop branch-free, and ORing more
+    // lanes cannot change a count that is already 0.
     std::uint32_t diff = 0;
-    if (level == SimdLevel::Avx2) {
-        diff = allActive
-                   ? detail::diffAvx2(values.data(), lanes, base)
-                   : detail::diffMaskedAvx2(values.data(), lanes,
-                                            active, base);
-    } else if (level == SimdLevel::Swar && allActive) {
-        // All lanes active: SWAR sweep, two lanes per iteration. Once
-        // either half's most-significant byte differs no byte can be
-        // common, so stop early (incompressible values are the hot
-        // case in divergent workloads).
-        constexpr std::uint64_t kMsbBytes = 0xFF00'0000'FF00'0000ull;
-        std::uint64_t acc = 0;
-        const std::uint64_t base2 = broadcastWord(base);
-        unsigned lane = 0;
-        for (; lane + 2 <= lanes; lane += 2) {
-            acc |= loadWordPair(&values[lane]) ^ base2;
-            if (acc & kMsbBytes)
-                break;
-        }
-        diff = foldWordPair(acc);
-        if (lane + 1 == lanes) // odd tail lane
-            diff |= values[lane] ^ base;
+    const unsigned lanes = unsigned(values.size());
+    const LaneMask all = laneMaskLow(lanes);
+    if ((active & all) == all) {
+        // Non-divergent write: no per-lane mask test.
+        for (const Word v : values)
+            diff |= v ^ base;
     } else {
-        diff = diffScalar(values, active, base);
+        for (LaneMask m = active & all; m != 0; m &= m - 1)
+            diff |= values[firstLane(m)] ^ base;
     }
 
     ByteMaskEncoding e;
@@ -123,18 +76,9 @@ byteMaskCompress(std::span<const Word> values)
         out.push_back(byteOf(enc.base, 3 - i));
 
     // Per-lane differing low bytes, lane-major, most significant first.
-    const unsigned lanes = unsigned(values.size());
-    if (activeSimdLevel() == SimdLevel::Avx2 && lanes >= 4 &&
-        enc.commonMsbs < 4) {
-        const std::size_t at = out.size();
-        out.resize(at + std::size_t(4 - enc.commonMsbs) * lanes);
-        detail::packAvx2(values.data(), lanes, enc.commonMsbs,
-                         out.data() + at);
-    } else {
-        for (const Word v : values)
-            for (unsigned b = enc.commonMsbs; b < 4; ++b)
-                out.push_back(byteOf(v, 3 - b));
-    }
+    for (const Word v : values)
+        for (unsigned b = enc.commonMsbs; b < 4; ++b)
+            out.push_back(byteOf(v, 3 - b));
 
     return out;
 }

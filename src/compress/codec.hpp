@@ -11,8 +11,7 @@
  *                      simulator tracks per register
  *   - capabilities     caps() tells the SIMT dispatcher which scalar-
  *                      execution tiers the scheme can serve and how
- *                      much pipeline depth it adds; activeSimd() folds
- *                      the GS_SIMD dispatch seam into the same query
+ *                      much pipeline depth it adds
  *   - power/area hooks energyScale()/areaScale() scale the calibrated
  *                      byte-mask constants of power/{energy_model,
  *                      hardware_cost} (the byte-mask codec returns 1.0
@@ -59,7 +58,6 @@
 #include "common/codec_id.hpp"
 #include "common/types.hpp"
 #include "reg_meta.hpp"
-#include "simd.hpp"
 
 namespace gs
 {
@@ -92,8 +90,6 @@ struct CodecCaps
     bool absorbsStuckFaults = false;
     /** Pipeline cycles the (de)compression stages add (§4.4). */
     unsigned extraFrontCycles = 0;
-    /** The software model's inner loops honor GS_SIMD dispatch. */
-    bool simdDispatch = false;
 };
 
 /**
@@ -130,17 +126,6 @@ class Codec
     virtual CodecCaps caps() const = 0;
     virtual CodecEnergyScale energyScale() const = 0;
     virtual CodecAreaScale areaScale() const = 0;
-
-    /**
-     * The SIMD level this codec's inner loops dispatch to: the
-     * process-wide GS_SIMD level for codecs whose kernels have SWAR/
-     * AVX2 paths, Off otherwise. This folds GS_SIMD into the
-     * capability query so --codec and GS_SIMD compose in one seam.
-     */
-    SimdLevel activeSimd() const
-    {
-        return caps().simdDispatch ? activeSimdLevel() : SimdLevel::Off;
-    }
 
     /** The whole register holds one scalar value per this codec. */
     virtual bool regScalar(const RegMeta &meta) const = 0;

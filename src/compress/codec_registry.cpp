@@ -111,7 +111,6 @@ ByteMaskCodec::caps() const
     c.insertsSpecialMoves = true;
     c.absorbsStuckFaults = false;
     c.extraFrontCycles = 2;
-    c.simdDispatch = true;
     return c;
 }
 
@@ -215,7 +214,6 @@ class BdiCodec : public Codec
         c.insertsSpecialMoves = false;
         c.absorbsStuckFaults = false;
         c.extraFrontCycles = 2;
-        c.simdDispatch = false; // subtractor loops have no SIMD path
         return c;
     }
 

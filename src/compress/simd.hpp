@@ -1,61 +1,34 @@
 /**
  * @file
- * Runtime CPU-dispatch seam for the byte-mask codec. The classify and
- * pack inner loops exist at three levels:
- *
- *   off   plain per-lane scalar loops (the portable reference)
- *   swar  two-lanes-per-64-bit-word sweeps (common/bit_utils.hpp)
- *   avx2  8-lanes-per-YMM XOR/shuffle mask-table kernels
- *
- * Every level produces bit-identical ByteMaskEncoding results and
- * byte-identical compressed streams; only throughput differs. The
- * active level defaults to the best one the CPU supports and can be
- * pinned with GS_SIMD=off|swar|avx2 (strictly validated, in the
- * GS_JOBS idiom) or setSimdLevel() from tests.
+ * Compatibility shim, kept only for the end-to-end benchmark program
+ * (perfbench/), which still prints a codec dispatch level in its host
+ * line. The byte-mask codec has one plain kernel, so there is one
+ * level. Delete this file once that program stops asking.
  */
 
 #ifndef GSCALAR_COMPRESS_SIMD_HPP
 #define GSCALAR_COMPRESS_SIMD_HPP
 
-#include <cstdint>
-#include <optional>
-#include <string_view>
-
 namespace gs
 {
 
-/** Instruction-set level of the codec inner loops. */
-enum class SimdLevel : std::uint8_t
+/** The one codec kernel level. */
+enum class SimdLevel
 {
-    Off,  ///< scalar reference loops
-    Swar, ///< 64-bit SWAR sweeps
-    Avx2, ///< AVX2 kernels (x86-64 with AVX2 only)
+    None
 };
 
-/** Spec name of a level ("off", "swar", "avx2"). */
-const char *simdLevelName(SimdLevel level);
+inline SimdLevel
+activeSimdLevel()
+{
+    return SimdLevel::None;
+}
 
-/** Parse a GS_SIMD value; empty optional on anything unknown. */
-std::optional<SimdLevel> parseSimdLevel(std::string_view name);
-
-/** Whether this process can execute @p level (compile + CPU check). */
-bool simdLevelSupported(SimdLevel level);
-
-/**
- * The level the codec dispatches to: the setSimdLevel() override if
- * present, else a validated $GS_SIMD (unknown names and unsupported
- * levels are fatal), else the best supported level.
- */
-SimdLevel activeSimdLevel();
-
-/**
- * Pin the dispatch level, overriding $GS_SIMD (tests sweep levels this
- * way). Fatal if @p level is not supported on this host.
- */
-void setSimdLevel(SimdLevel level);
-
-/** Drop the setSimdLevel() override ($GS_SIMD/auto applies again). */
-void clearSimdLevelOverride();
+inline const char *
+simdLevelName(SimdLevel)
+{
+    return "none";
+}
 
 } // namespace gs
 

@@ -66,7 +66,6 @@ class StaticProfileCodec : public ByteMaskCodec
         // No dynamic encoding lookup in front of the operand
         // collectors: one pipeline stage instead of two.
         c.extraFrontCycles = 1;
-        c.simdDispatch = false; // the comparators profiling replaced
         return c;
     }
 

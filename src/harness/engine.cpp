@@ -11,7 +11,6 @@
 #include "common/codec_id.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
-#include "compress/simd.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 
@@ -87,10 +86,10 @@ unsigned
 WorkerPool::defaultJobs()
 {
     if (const char *env = std::getenv("GS_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return unsigned(v);
-        GS_WARN("ignoring GS_JOBS='", env, "' (want a positive integer)");
+        if (const std::optional<unsigned> v = parseJobsValue(env))
+            return *v;
+        GS_WARN("ignoring GS_JOBS='", env,
+                "' (want an integer in [1, 4096])");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
@@ -468,9 +467,8 @@ ignoreSimThreads(bool flagGiven)
 }
 
 void
-initHarness(int argc, char **argv)
+checkStartupEnv()
 {
-    setQuiet(true);
     if (const char *env = std::getenv("GS_JOBS")) {
         if (!parseJobsValue(env))
             GS_FATAL("GS_JOBS='", env,
@@ -478,6 +476,16 @@ initHarness(int argc, char **argv)
                      "[1, 4096])");
     }
     ignoreSimThreads(false);
+    // Resolve GS_FAULT / GS_CODEC now, not at the first injected seam
+    // or compressed write-back.
+    faultInjector();
+    defaultCodecId();
+}
+
+void
+initHarness(int argc, char **argv)
+{
+    setQuiet(true);
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--jobs" || a == "-j") {
@@ -517,11 +525,7 @@ initHarness(int argc, char **argv)
                 GS_FATAL("--fault='", spec, "': ", err);
         }
     }
-    // Force GS_FAULT / GS_SIMD / GS_CODEC validation now, not at the
-    // first injected seam or compressed write-back.
-    faultInjector();
-    activeSimdLevel();
-    defaultCodecId();
+    checkStartupEnv();
 }
 
 } // namespace gs

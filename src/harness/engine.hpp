@@ -66,8 +66,8 @@ class WorkerPool
 
     /**
      * Pool size used when none is requested: the GS_JOBS environment
-     * variable if set to a positive integer, else
-     * std::thread::hardware_concurrency() (min 1).
+     * variable if parseJobsValue() accepts it, else (with a warning if
+     * it was set) std::thread::hardware_concurrency() (min 1).
      */
     static unsigned defaultJobs();
 
@@ -276,14 +276,22 @@ void setDefaultCacheEnabled(bool enabled);
 std::optional<unsigned> parseJobsValue(const std::string &s);
 
 /**
- * Standard harness-binary prologue: silence warn()/inform(), validate
- * GS_JOBS / GS_SIMD / GS_FAULT / GS_CODEC, and honour trailing
- * `--jobs N` / `-j N` (worker-pool size), `--codec NAME` (RF
+ * Start-up check shared by every entry point (initHarness, gscalar,
+ * gscalard): GS_JOBS must pass parseJobsValue(), $GS_SIM_THREADS gets
+ * ignoreSimThreads()'s warning, and GS_FAULT / GS_CODEC are resolved
+ * now rather than at first use. Malformed values are fatal, also
+ * when a flag (--codec, --fault) overrides the variable.
+ */
+void checkStartupEnv();
+
+/**
+ * Standard harness-binary prologue: silence warn()/inform(), honour
+ * trailing `--jobs N` / `-j N` (worker-pool size), `--codec NAME` (RF
  * compression codec; common/codec_id.hpp), `--cache` (persistent run
  * cache at $GS_CACHE_DIR or the default cache directory) and
- * `--fault SPEC` flags. Malformed values are fatal with a clear
- * message, never silently defaulted. The retired intra-run threading
- * setting goes to ignoreSimThreads().
+ * `--fault SPEC` flags, then run checkStartupEnv(). Malformed values
+ * are fatal with a clear message, never silently defaulted. The
+ * retired intra-run threading setting goes to ignoreSimThreads().
  */
 void initHarness(int argc, char **argv);
 

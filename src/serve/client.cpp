@@ -22,19 +22,40 @@
 namespace gs
 {
 
+namespace
+{
+
+constexpr const char *kEnvMillisWant =
+    "want a number of milliseconds in [0, 86400000]";
+
+/**
+ * A whole-string millisecond count in [0, one day]. The bound keeps
+ * inf, nan and huge values away from the integer duration casts of
+ * the connect and retry deadlines.
+ */
+std::optional<double>
+parseEnvMillis(const char *s)
+{
+    char *end = nullptr;
+    const double ms = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !(ms >= 0 && ms <= 86'400'000.0))
+        return std::nullopt;
+    return ms;
+}
+
+} // namespace
+
 ClientOptions
 ClientOptions::fromEnv()
 {
     ClientOptions opts;
     if (const char *env = std::getenv("GS_CONNECT_TIMEOUT_MS");
         env && *env) {
-        char *end = nullptr;
-        const double ms = std::strtod(env, &end);
-        if (end && *end == '\0' && ms >= 0)
-            opts.connectTimeoutSec = ms / 1000.0;
+        if (const std::optional<double> ms = parseEnvMillis(env))
+            opts.connectTimeoutSec = *ms / 1000.0;
         else
-            GS_WARN("ignoring GS_CONNECT_TIMEOUT_MS='", env,
-                    "' (want a non-negative number of milliseconds)");
+            GS_WARN("ignoring GS_CONNECT_TIMEOUT_MS='", env, "' (",
+                    kEnvMillisWant, ")");
     }
     if (const char *env = std::getenv("GS_RETRIES"); env && *env) {
         char *end = nullptr;
@@ -47,13 +68,11 @@ ClientOptions::fromEnv()
     }
     if (const char *env = std::getenv("GS_RETRY_DEADLINE_MS");
         env && *env) {
-        char *end = nullptr;
-        const double ms = std::strtod(env, &end);
-        if (end && *end == '\0' && ms >= 0)
-            opts.retryDeadlineSec = ms / 1000.0;
+        if (const std::optional<double> ms = parseEnvMillis(env))
+            opts.retryDeadlineSec = *ms / 1000.0;
         else
-            GS_WARN("ignoring GS_RETRY_DEADLINE_MS='", env,
-                    "' (want a non-negative number of milliseconds)");
+            GS_WARN("ignoring GS_RETRY_DEADLINE_MS='", env, "' (",
+                    kEnvMillisWant, ")");
     }
     return opts;
 }

@@ -1,6 +1,7 @@
 #include "run_cache.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -77,13 +78,17 @@ DiskRunCache::fromEnv(bool useDefaultDir)
 
     std::uint64_t maxBytes = kDefaultMaxBytes;
     if (const char *env = std::getenv("GS_CACHE_MAX_MB"); env && *env) {
+        // Digits only: strtoull would negate "-1" into a huge cap. An
+        // overflow saturates at ULLONG_MAX, which kMaxMb rejects.
         char *end = nullptr;
         const unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end && *end == '\0')
+        constexpr std::uint64_t kMaxMb = UINT64_MAX / (1024 * 1024);
+        if (env[0] >= '0' && env[0] <= '9' && *end == '\0' &&
+            mb <= kMaxMb)
             maxBytes = mb * 1024 * 1024; // 0 => unlimited
         else
             GS_WARN("ignoring GS_CACHE_MAX_MB='", env,
-                    "' (want a non-negative integer)");
+                    "' (want a whole number of MB below 2^44)");
     }
     return std::make_unique<DiskRunCache>(dir, maxBytes);
 }

@@ -115,6 +115,9 @@ class DiskRunCache
     /** Root directory (as given, before the schema subdirectory). */
     const std::string &dir() const { return dir_; }
 
+    /** Size cap of cached records in bytes; 0 means unlimited. */
+    std::uint64_t maxBytes() const { return maxBytes_; }
+
     /** Where rejected records are moved: `<dir>/quarantine`. */
     std::string quarantineDir() const;
 

@@ -1,15 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "common/bit_utils.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "compress/byte_mask_codec.hpp"
-#include "compress/simd.hpp"
-#include "harness/report.hpp"
-#include "harness/runner.hpp"
 
 namespace gs
 {
@@ -155,134 +150,140 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
                        ::testing::Values(2u, 8u, 16u, 32u, 64u)));
 
-// ------------------------------------------- cpu dispatch (compress/simd.hpp)
-// Every GS_SIMD level must give bit-identical codec results; csvRow
-// covers every event counter and power component, so the end-to-end
-// check is bit-level determinism of a whole simulation.
+// ------------------------------------------------- byte-by-byte oracle
+// analyzeByteMask ORs per-lane XORs against the base and counts leading
+// zero bytes. These tests hold it to the definition instead: the
+// number of leading byte positions (most significant first) on which
+// every active lane equals the base, i.e. first active, lane.
 
-/** Restore the auto-detected SIMD level on scope exit. */
-struct SimdLevelAtExit
+unsigned
+oracleCommonMsbs(const std::vector<Word> &v, LaneMask active)
 {
-    ~SimdLevelAtExit() { clearSimdLevelOverride(); }
-};
-
-TEST(SimdDispatch, ParseAcceptsKnownLevels)
-{
-    EXPECT_EQ(parseSimdLevel("off"), SimdLevel::Off);
-    EXPECT_EQ(parseSimdLevel("swar"), SimdLevel::Swar);
-    EXPECT_EQ(parseSimdLevel("avx2"), SimdLevel::Avx2);
+    const Word base = v[firstLane(active)];
+    for (unsigned n = 0; n < 4; ++n) {
+        const unsigned byte = 3 - n;
+        for (unsigned lane = 0; lane < v.size(); ++lane)
+            if (((active >> lane) & 1) &&
+                byteOf(v[lane], byte) != byteOf(base, byte))
+                return n;
+    }
+    return 4;
 }
 
-TEST(SimdDispatch, ParseRejectsUnknownNames)
+/** Base bytes once, then each lane's differing low bytes, MSB first. */
+std::vector<std::uint8_t>
+oraclePack(const std::vector<Word> &v)
 {
-    for (const char *bad : {"", "OFF", "sse", "avx512", "auto", " off"})
-        EXPECT_FALSE(parseSimdLevel(bad).has_value())
-            << "'" << bad << "' should be rejected";
-}
-
-TEST(SimdDispatch, NamesRoundTrip)
-{
-    for (const SimdLevel l :
-         {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2})
-        EXPECT_EQ(parseSimdLevel(simdLevelName(l)), l);
-}
-
-TEST(SimdDispatch, BaselineLevelsAlwaysSupported)
-{
-    EXPECT_TRUE(simdLevelSupported(SimdLevel::Off));
-    EXPECT_TRUE(simdLevelSupported(SimdLevel::Swar));
-}
-
-// ------------------------------------------------------- codec equivalence
-
-std::vector<SimdLevel>
-supportedLevels()
-{
-    std::vector<SimdLevel> out;
-    for (const SimdLevel l :
-         {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2})
-        if (simdLevelSupported(l))
-            out.push_back(l);
+    const unsigned common =
+        oracleCommonMsbs(v, laneMaskLow(unsigned(v.size())));
+    std::vector<std::uint8_t> out;
+    for (unsigned n = 0; n < common; ++n)
+        out.push_back(byteOf(v[0], 3 - n));
+    for (const Word w : v)
+        for (unsigned n = common; n < 4; ++n)
+            out.push_back(byteOf(w, 3 - n));
     return out;
 }
 
-TEST(SimdDispatch, AllLevelsAgreeOnAnalyze)
+enum class Family { Constant, Ramp, OneLaneOff, Random };
+enum class MaskKind { Full, Random, SingleLane, Sparse };
+
+constexpr Family kFamilies[] = {Family::Constant, Family::Ramp,
+                                Family::OneLaneOff, Family::Random};
+constexpr MaskKind kMaskKinds[] = {MaskKind::Full, MaskKind::Random,
+                                   MaskKind::SingleLane, MaskKind::Sparse};
+
+std::vector<Word>
+familyValues(Family f, unsigned n, Rng &rng)
 {
-    SimdLevelAtExit restore;
+    std::vector<Word> v(n, 0xC04039C0u);
+    switch (f) {
+      case Family::Constant: break;
+      case Family::Ramp:
+        for (unsigned i = 0; i < n; ++i)
+            v[i] += i * 8;
+        break;
+      case Family::OneLaneOff:
+        v[rng.next32() % n] ^= 0x01u << (8 * (rng.next32() % 4));
+        break;
+      case Family::Random:
+        for (Word &w : v)
+            w = rng.next32();
+        break;
+    }
+    return v;
+}
+
+LaneMask
+maskOf(MaskKind k, unsigned n, Rng &rng)
+{
+    const LaneMask one = LaneMask{1} << (rng.next32() % n);
+    switch (k) {
+      case MaskKind::Full: return laneMaskLow(n);
+      case MaskKind::Random: return (rng.next64() & laneMaskLow(n)) | one;
+      case MaskKind::SingleLane: return one;
+      case MaskKind::Sparse:
+        return one | (LaneMask{1} << (rng.next32() % n)) |
+               (LaneMask{1} << (rng.next32() % n));
+    }
+    return one;
+}
+
+TEST(ByteMaskOracle, AnalyzeMatchesByteByByteDefinition)
+{
     Rng rng(7);
-    for (unsigned trial = 0; trial < 400; ++trial) {
-        const unsigned lanes = 1 + rng.next32() % 64;
-        std::vector<Word> values(lanes);
-        const unsigned family = rng.next32() % 4;
-        for (unsigned i = 0; i < lanes; ++i) {
-            switch (family) {
-              case 0: values[i] = 0xC04039C0; break;
-              case 1: values[i] = 0xC04039C0 + i * 8; break;
-              case 2: values[i] = 0xC0400000 + i * 1024; break;
-              default: values[i] = rng.next32(); break;
-            }
-        }
-        LaneMask active = rng.next64() & laneMaskLow(lanes);
-        if (active == 0)
-            active = 1;
-
-        setSimdLevel(SimdLevel::Off);
-        const ByteMaskEncoding ref = analyzeByteMask(values, active);
-        for (const SimdLevel l : supportedLevels()) {
-            setSimdLevel(l);
-            const ByteMaskEncoding got = analyzeByteMask(values, active);
-            EXPECT_EQ(ref.commonMsbs, got.commonMsbs)
-                << "trial " << trial << " level " << simdLevelName(l);
-            EXPECT_EQ(ref.base, got.base)
-                << "trial " << trial << " level " << simdLevelName(l);
-        }
-    }
+    for (unsigned n = 1; n <= kMaxWarpSize; ++n)
+        for (const Family f : kFamilies)
+            for (const MaskKind k : kMaskKinds)
+                for (unsigned trial = 0; trial < 4; ++trial) {
+                    const std::vector<Word> v = familyValues(f, n, rng);
+                    const LaneMask active = maskOf(k, n, rng);
+                    const ByteMaskEncoding e = analyzeByteMask(v, active);
+                    EXPECT_EQ(e.commonMsbs, oracleCommonMsbs(v, active))
+                        << "width " << n << " family " << int(f)
+                        << " mask " << std::hex << active;
+                    EXPECT_EQ(e.base, v[firstLane(active)]);
+                }
 }
 
-TEST(SimdDispatch, AllLevelsAgreeOnCompressedBytes)
+TEST(ByteMaskOracle, OneLaneOffAtEveryPosition)
 {
-    SimdLevelAtExit restore;
+    // One lane differs in one byte: a full write loses the common
+    // bytes from that one down; a write that masks the lane off is
+    // scalar. Every position, so the first and last lanes count too.
+    for (unsigned n = 1; n <= kMaxWarpSize; ++n)
+        for (unsigned off = 0; off < n; ++off)
+            for (unsigned byte = 0; byte < 4; ++byte) {
+                std::vector<Word> v(n, 0x5A3C9617u);
+                v[off] ^= 0x80u << (8 * byte);
+                EXPECT_EQ(analyzeByteMask(v, laneMaskLow(n)).commonMsbs,
+                          n == 1 ? 4u : 3 - byte)
+                    << "width " << n << " lane " << off;
+                const LaneMask others =
+                    laneMaskLow(n) & ~(LaneMask{1} << off);
+                if (others != 0) {
+                    EXPECT_EQ(analyzeByteMask(v, others).commonMsbs, 4u)
+                        << "width " << n << " masked-off lane " << off;
+                }
+            }
+}
+
+TEST(ByteMaskOracle, CompressMatchesPerLanePacker)
+{
     Rng rng(11);
-    for (unsigned trial = 0; trial < 200; ++trial) {
-        const unsigned lanes = 1 + rng.next32() % 64;
-        std::vector<Word> values(lanes);
-        const unsigned family = rng.next32() % 4;
-        for (unsigned i = 0; i < lanes; ++i) {
-            switch (family) {
-              case 0: values[i] = 0xDEADBEEF; break;
-              case 1: values[i] = 0xDEADBE00 + i; break;
-              case 2: values[i] = 0xDEAD0000 + i * 257; break;
-              default: values[i] = rng.next32(); break;
+    for (unsigned n = 1; n <= kMaxWarpSize; ++n)
+        for (const Family f : kFamilies)
+            for (unsigned trial = 0; trial < 3; ++trial) {
+                const std::vector<Word> v = familyValues(f, n, rng);
+                const std::vector<std::uint8_t> stored =
+                    byteMaskCompress(v);
+                EXPECT_EQ(stored, oraclePack(v))
+                    << "width " << n << " family " << int(f);
+                const unsigned common =
+                    oracleCommonMsbs(v, laneMaskLow(n));
+                ASSERT_EQ(stored.size(), byteMaskStoredBytes(common, n));
+                EXPECT_EQ(byteMaskDecompress(stored, common, n), v);
             }
-        }
-
-        setSimdLevel(SimdLevel::Off);
-        const std::vector<std::uint8_t> ref = byteMaskCompress(values);
-        const unsigned msbs =
-            analyzeByteMask(values, laneMaskLow(lanes)).commonMsbs;
-        EXPECT_EQ(byteMaskDecompress(ref, msbs, lanes), values);
-        for (const SimdLevel l : supportedLevels()) {
-            setSimdLevel(l);
-            EXPECT_EQ(ref, byteMaskCompress(values))
-                << "trial " << trial << " level " << simdLevelName(l);
-        }
-    }
-}
-
-TEST(SimdDispatch, SimdLevelsByteIdenticalEndToEnd)
-{
-    setQuiet(true);
-    SimdLevelAtExit restoreSimd;
-
-    setSimdLevel(SimdLevel::Off);
-    ArchConfig cfg;
-    const std::string ref = csvRow(runWorkload("BP", cfg));
-
-    for (const SimdLevel l : supportedLevels()) {
-        setSimdLevel(l);
-        EXPECT_EQ(ref, csvRow(runWorkload("BP", cfg)))
-            << "GS_SIMD=" << simdLevelName(l);
-    }
 }
 
 } // namespace

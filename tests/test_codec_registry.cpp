@@ -249,10 +249,6 @@ TEST(CodecRegistry, CapsMatchTheSchemes)
     const compress::CodecCaps sp =
         compress::codecFor(CodecId::StaticProfile).caps();
     EXPECT_FALSE(sp.halfScalar);
-    EXPECT_FALSE(sp.simdDispatch);
-    EXPECT_EQ(compress::codecFor(CodecId::StaticProfile).activeSimd(),
-              SimdLevel::Off)
-        << "non-SIMD codecs must report Off regardless of GS_SIMD";
 
     const compress::CodecCaps rrcd =
         compress::codecFor(CodecId::Rrcd).caps();

@@ -287,14 +287,33 @@ TEST(ClientRetryDeadline, FromEnvParsesGsRetryDeadlineMs)
     EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().retryDeadlineSec, 1.5);
     ::setenv("GS_RETRY_DEADLINE_MS", "0", 1);
     EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().retryDeadlineSec, 0.0);
-    // Malformed values warn and keep the uncapped default.
-    for (const char *bad : {"nope", "-100", "12ms"}) {
+    // Malformed, non-finite and over-a-day values warn and keep the
+    // uncapped default (inf would overflow the integer duration cast).
+    for (const char *bad :
+         {"nope", "-100", "12ms", "inf", "nan", "1e300", "86400001"}) {
         ::setenv("GS_RETRY_DEADLINE_MS", bad, 1);
         EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().retryDeadlineSec, 0.0)
             << bad;
     }
     ::unsetenv("GS_RETRY_DEADLINE_MS");
     EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().retryDeadlineSec, 0.0);
+}
+
+TEST(ClientRetryDeadline, FromEnvParsesGsConnectTimeoutMs)
+{
+    const double fallback = ClientOptions{}.connectTimeoutSec;
+    ::setenv("GS_CONNECT_TIMEOUT_MS", "250", 1);
+    EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().connectTimeoutSec, 0.25);
+    ::setenv("GS_CONNECT_TIMEOUT_MS", "86400000", 1);
+    EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().connectTimeoutSec, 86400.0);
+    for (const char *bad :
+         {"nope", "-100", "12ms", "inf", "nan", "1e300", "86400001"}) {
+        ::setenv("GS_CONNECT_TIMEOUT_MS", bad, 1);
+        EXPECT_DOUBLE_EQ(ClientOptions::fromEnv().connectTimeoutSec,
+                         fallback)
+            << bad;
+    }
+    ::unsetenv("GS_CONNECT_TIMEOUT_MS");
 }
 
 TEST(HealthMetrics, RegistryCoversEveryCounter)

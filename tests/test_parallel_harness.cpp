@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/log.hpp"
@@ -98,6 +100,47 @@ TEST(Fingerprint, ChangesWhenAnyFieldChanges)
 TEST(WorkerPool, DefaultJobsIsPositive)
 {
     EXPECT_GE(WorkerPool::defaultJobs(), 1u);
+
+    // GS_JOBS goes through parseJobsValue(): a bad value warns and
+    // falls back to the hardware count instead of sizing a pool from a
+    // prefix ("4abc") or without bound ("100000"). Only defaultJobs()
+    // is called here; no pool is built from these values.
+    const char *saved = std::getenv("GS_JOBS");
+    const std::string restore = saved ? saved : "";
+    ::unsetenv("GS_JOBS");
+    const unsigned fallback = WorkerPool::defaultJobs();
+    ::setenv("GS_JOBS", "3", 1);
+    EXPECT_EQ(WorkerPool::defaultJobs(), 3u);
+    for (const char *bad : {"4abc", "0", "100000", "", "-2"}) {
+        ::setenv("GS_JOBS", bad, 1);
+        EXPECT_EQ(WorkerPool::defaultJobs(), fallback) << bad;
+    }
+    if (saved)
+        ::setenv("GS_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("GS_JOBS");
+}
+
+/** initHarness() as a bench binary sees `GS_CODEC=bogus ... --codec bdi`. */
+void
+initHarnessWithBadEnvCodec()
+{
+    ::setenv("GS_CODEC", "bogus", 1);
+    char prog[] = "harness";
+    char flag[] = "--codec";
+    char value[] = "bdi";
+    char *argv[] = {prog, flag, value, nullptr};
+    initHarness(3, argv);
+    std::exit(0);
+}
+
+TEST(StartupEnvDeathTest, BadGsCodecIsFatalEvenWithCodecFlag)
+{
+    // Re-executed child: its GS_CODEC is resolved fresh, not cached by
+    // earlier tests in this process.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(initHarnessWithBadEnvCodec(), ::testing::ExitedWithCode(1),
+                "GS_CODEC='bogus'");
 }
 
 TEST(WorkerPool, RunsEverySubmittedTask)

@@ -300,6 +300,28 @@ TEST(DiskRunCache, FromEnvHonoursGsCacheDir)
     EXPECT_EQ(cache->dir(), tmp.path);
 }
 
+TEST(DiskRunCache, FromEnvParsesGsCacheMaxMb)
+{
+    TempDir tmp;
+    ::setenv("GS_CACHE_DIR", tmp.path.c_str(), 1);
+    ::setenv("GS_CACHE_MAX_MB", "3", 1);
+    EXPECT_EQ(DiskRunCache::fromEnv()->maxBytes(), 3ull * 1024 * 1024);
+    ::setenv("GS_CACHE_MAX_MB", "0", 1);
+    EXPECT_EQ(DiskRunCache::fromEnv()->maxBytes(), 0u) << "0 = unlimited";
+    // Negative, non-numeric, overflowing (2^44 MB wraps in bytes, 2^64
+    // in strtoull) and non-finite values warn and keep the default.
+    for (const char *bad :
+         {"-1", " -1", "+5", "12mb", "nope", "inf", "nan", "1e300",
+          "17592186044416", "18446744073709551616"}) {
+        ::setenv("GS_CACHE_MAX_MB", bad, 1);
+        EXPECT_EQ(DiskRunCache::fromEnv()->maxBytes(),
+                  DiskRunCache::kDefaultMaxBytes)
+            << bad;
+    }
+    ::unsetenv("GS_CACHE_MAX_MB");
+    ::unsetenv("GS_CACHE_DIR");
+}
+
 TEST(DiskRunCache, FromEnvDefaultsToDisabled)
 {
     ::unsetenv("GS_CACHE_DIR");

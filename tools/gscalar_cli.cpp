@@ -21,7 +21,6 @@
 
 #include "common/log.hpp"
 #include "common/table.hpp"
-#include "compress/simd.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "gen/fuzz.hpp"
@@ -81,7 +80,6 @@ printUsage(std::ostream &os)
           "  --jobs/-j N (or GS_JOBS=N) sets the simulation worker\n"
           "  pool size (--sim-threads N / GS_SIM_THREADS=N are\n"
           "  accepted for one release and ignored, with a warning);\n"
-          "  GS_SIMD=off|swar|avx2 pins the codec kernels;\n"
           "  --codec NAME (or GS_CODEC=NAME) selects the RF\n"
           "  compression codec (byte-mask, bdi, static-profile,\n"
           "  rrcd; default byte-mask); --cache\n"
@@ -1181,20 +1179,9 @@ main(int argc, char **argv)
         std::cout << "gscalar " << GS_VERSION << "\n";
         return 0;
     }
-    // Reject malformed GS_JOBS up front for every subcommand rather
-    // than silently simulating on a default-sized pool.
-    if (const char *env = std::getenv("GS_JOBS")) {
-        if (!parseJobsValue(env))
-            GS_FATAL("GS_JOBS='", env,
-                     "' is not a valid worker count "
-                     "(want an integer in [1, 4096])");
-    }
-    ignoreSimThreads(false);
-    // Likewise force GS_FAULT / GS_SIMD / GS_CODEC validation before
-    // any work starts.
-    faultInjector();
-    activeSimdLevel();
-    defaultCodecId();
+    // Reject a malformed environment up front for every subcommand
+    // rather than at first use.
+    checkStartupEnv();
     // "gen:..." workload names resolve everywhere (run, disasm,
     // submit, fuzz) once the generator's resolver is installed.
     registerGenWorkloads();

@@ -19,7 +19,6 @@
 
 #include "common/codec_id.hpp"
 #include "common/log.hpp"
-#include "compress/simd.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "gen/generator.hpp"
@@ -161,18 +160,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (const char *env = std::getenv("GS_JOBS")) {
-        if (!parseJobsValue(env))
-            GS_FATAL("GS_JOBS='", env,
-                     "' is not a valid worker count "
-                     "(want an integer in [1, 4096])");
-    }
-    ignoreSimThreads(false);
-    // Validate $GS_FAULT / $GS_SIMD / $GS_CODEC now rather than at
-    // the first injected seam or compressed write-back.
-    faultInjector();
-    activeSimdLevel();
-    defaultCodecId();
+    checkStartupEnv();
     // "gen:..." workload names resolve in the standalone daemon just
     // as they do in `gscalar serve`.
     registerGenWorkloads();
