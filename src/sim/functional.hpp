@@ -53,9 +53,8 @@ struct ExecResult
 /**
  * Execute @p inst for the lanes of @p mask. Loads read and stores write
  * @p gmem or @p shared immediately (program order per warp). The GmemTxn
- * view either writes through (serial ticking) or defers stores to a
- * per-cycle log (parallel ticking); either way per-warp program order
- * is preserved.
+ * view writes through to global memory, so a later load of any SM sees
+ * the store.
  *
  * @param shared this CTA's shared-memory segment (word granular)
  */
@@ -63,7 +62,7 @@ ExecResult executeFunctional(const Instruction &inst, WarpState &warp,
                              LaneMask mask, const SregContext &ctx,
                              GmemTxn &gmem, std::span<Word> shared);
 
-/** Convenience overload: execute against bare memory (write-through). */
+/** Convenience overload: execute against bare memory. */
 inline ExecResult
 executeFunctional(const Instruction &inst, WarpState &warp, LaneMask mask,
                   const SregContext &ctx, GlobalMemory &gmem,

@@ -1,5 +1,7 @@
 #include "gmem.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace gs
@@ -10,10 +12,8 @@ GlobalMemory::page(Addr addr)
 {
     const Addr key = addr / kPageBytes;
     auto &slot = pages_[key];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
+    if (!slot)
+        slot = std::make_unique<Page>(); // value-initialised: all zero
     return *slot;
 }
 
@@ -47,16 +47,36 @@ GlobalMemory::writeWord(Addr addr, Word value)
 void
 GlobalMemory::fillWords(Addr addr, const std::vector<Word> &values)
 {
-    for (std::size_t i = 0; i < values.size(); ++i)
-        writeWord(addr + i * kBytesPerWord, values[i]);
+    // One page lookup and one copy per page span.
+    GS_ASSERT(addr % kBytesPerWord == 0, "unaligned write at ", addr);
+    const Word *src = values.data();
+    for (std::size_t left = values.size(); left > 0;) {
+        const Addr off = addr % kPageBytes;
+        const std::size_t n =
+            std::min<std::size_t>(left, (kPageBytes - off) / kBytesPerWord);
+        std::memcpy(page(addr).data() + off, src, n * sizeof(Word));
+        src += n;
+        left -= n;
+        addr += n * kBytesPerWord;
+    }
 }
 
 std::vector<Word>
 GlobalMemory::readWords(Addr addr, std::size_t count) const
 {
-    std::vector<Word> out(count);
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = readWord(addr + i * kBytesPerWord);
+    GS_ASSERT(addr % kBytesPerWord == 0, "unaligned read at ", addr);
+    std::vector<Word> out(count); // absent pages read as zero
+    Word *dst = out.data();
+    for (std::size_t left = count; left > 0;) {
+        const Addr off = addr % kPageBytes;
+        const std::size_t n =
+            std::min<std::size_t>(left, (kPageBytes - off) / kBytesPerWord);
+        if (const Page *p = pageIfPresent(addr))
+            std::memcpy(dst, p->data() + off, n * sizeof(Word));
+        dst += n;
+        left -= n;
+        addr += n * kBytesPerWord;
+    }
     return out;
 }
 

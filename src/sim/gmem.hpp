@@ -44,12 +44,15 @@ class GlobalMemory
     /** Bytes of the page holding @p addr, or nullptr while no word of
      *  it was written. A present page never moves, and lives as long
      *  as this GlobalMemory. */
-    const std::uint8_t *
-    pageBytes(Addr addr) const
+    std::uint8_t *
+    pageBytes(Addr addr)
     {
-        const Page *p = pageIfPresent(addr);
-        return p ? p->data() : nullptr;
+        const auto it = pages_.find(addr / kPageBytes);
+        return it == pages_.end() ? nullptr : it->second->data();
     }
+
+    /** Bytes of the page holding @p addr, created zeroed if absent. */
+    std::uint8_t *pageBytesForWrite(Addr addr) { return page(addr).data(); }
 
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
@@ -61,8 +64,8 @@ class GlobalMemory
 };
 
 /**
- * An SM's view of global memory: reads go through a one-entry cache of
- * the last present page, writes go straight to the backing memory.
+ * An SM's view of global memory: loads and stores go through a
+ * one-entry cache of the last page they touched.
  */
 class GmemTxn
 {
@@ -78,7 +81,7 @@ class GmemTxn
         GS_ASSERT(addr % kBytesPerWord == 0, "unaligned read at ", addr);
         const Addr key = addr / GlobalMemory::kPageBytes;
         if (key != lastKey_) {
-            const std::uint8_t *bytes = mem_->pageBytes(addr);
+            std::uint8_t *bytes = mem_->pageBytes(addr);
             if (bytes == nullptr)
                 return 0; // never written
             lastKey_ = key;
@@ -90,13 +93,26 @@ class GmemTxn
         return w;
     }
 
-    void writeWord(Addr addr, Word value) { mem_->writeWord(addr, value); }
+    void
+    writeWord(Addr addr, Word value)
+    {
+        // A store to another page creates it if needed; that page is
+        // then present for good and becomes the cached one.
+        GS_ASSERT(addr % kBytesPerWord == 0, "unaligned write at ", addr);
+        const Addr key = addr / GlobalMemory::kPageBytes;
+        if (key != lastKey_) {
+            lastKey_ = key;
+            lastPage_ = mem_->pageBytesForWrite(addr);
+        }
+        std::memcpy(lastPage_ + addr % GlobalMemory::kPageBytes, &value,
+                    sizeof(value));
+    }
 
   private:
     GlobalMemory *mem_;
-    /** Last present page read (one entry, per SM view: never share). */
+    /** Last present page touched (one entry, per SM view: never share). */
     Addr lastKey_ = ~Addr{0};
-    const std::uint8_t *lastPage_ = nullptr;
+    std::uint8_t *lastPage_ = nullptr;
 };
 
 } // namespace gs

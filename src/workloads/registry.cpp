@@ -1,38 +1,40 @@
 #include "workload.hpp"
 
+#include <array>
+
 #include "common/log.hpp"
 #include "kernels/kernels.hpp"
 
 namespace gs
 {
 
-std::vector<Workload>
-makeSuite()
-{
-    std::vector<Workload> suite;
-    // Table 2 order: Rodinia then Parboil.
-    suite.push_back(makeBT());
-    suite.push_back(makeBP());
-    suite.push_back(makeHW());
-    suite.push_back(makeHS());
-    suite.push_back(makeLC());
-    suite.push_back(makePF());
-    suite.push_back(makeSR1());
-    suite.push_back(makeSR2());
-    suite.push_back(makeCC());
-    suite.push_back(makeLBM());
-    suite.push_back(makeMG());
-    suite.push_back(makeMQ());
-    suite.push_back(makeSAD());
-    suite.push_back(makeMM());
-    suite.push_back(makeMV());
-    suite.push_back(makeST());
-    suite.push_back(makeACF());
-    return suite;
-}
-
 namespace
 {
+
+struct SuiteEntry
+{
+    const char *name;
+    Workload (*make)();
+};
+
+/** The one name table: Table 2 order, Rodinia then Parboil. */
+constexpr std::array<SuiteEntry, 17> kSuite = {{
+    {"BT", makeBT},   {"BP", makeBP},   {"HW", makeHW},
+    {"HS", makeHS},   {"LC", makeLC},   {"PF", makePF},
+    {"SR1", makeSR1}, {"SR2", makeSR2}, {"CC", makeCC},
+    {"LBM", makeLBM}, {"MG", makeMG},   {"MQ", makeMQ},
+    {"SAD", makeSAD}, {"MM", makeMM},   {"MV", makeMV},
+    {"ST", makeST},   {"ACF", makeACF},
+}};
+
+const SuiteEntry *
+findEntry(const std::string &abbr)
+{
+    for (const SuiteEntry &e : kSuite)
+        if (abbr == e.name)
+            return &e;
+    return nullptr;
+}
 
 std::vector<WorkloadResolver> &
 resolvers()
@@ -43,6 +45,16 @@ resolvers()
 
 } // namespace
 
+std::vector<Workload>
+makeSuite()
+{
+    std::vector<Workload> suite;
+    suite.reserve(kSuite.size());
+    for (const SuiteEntry &e : kSuite)
+        suite.push_back(e.make());
+    return suite;
+}
+
 void
 registerWorkloadResolver(WorkloadResolver resolver)
 {
@@ -52,9 +64,8 @@ registerWorkloadResolver(WorkloadResolver resolver)
 Workload
 makeWorkload(const std::string &abbr)
 {
-    for (Workload &w : makeSuite())
-        if (w.name == abbr)
-            return std::move(w);
+    if (const SuiteEntry *e = findEntry(abbr))
+        return e->make();
     for (const WorkloadResolver &resolve : resolvers())
         if (std::optional<Workload> w = resolve(abbr))
             return std::move(*w);
@@ -64,9 +75,8 @@ makeWorkload(const std::string &abbr)
 bool
 workloadResolvable(const std::string &abbr)
 {
-    for (const std::string &name : workloadNames())
-        if (name == abbr)
-            return true;
+    if (findEntry(abbr))
+        return true;
     for (const WorkloadResolver &resolve : resolvers())
         if (resolve(abbr))
             return true;
@@ -76,9 +86,12 @@ workloadResolvable(const std::string &abbr)
 const std::vector<std::string> &
 workloadNames()
 {
-    static const std::vector<std::string> names = {
-        "BT", "BP", "HW", "HS", "LC", "PF", "SR1", "SR2", "CC",
-        "LBM", "MG", "MQ", "SAD", "MM", "MV", "ST", "ACF"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const SuiteEntry &e : kSuite)
+            out.emplace_back(e.name);
+        return out;
+    }();
     return names;
 }
 

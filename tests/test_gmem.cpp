@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "sim/gmem.hpp"
 
 namespace gs
@@ -50,6 +51,68 @@ TEST(GlobalMemory, FillAndReadWords)
     EXPECT_EQ(v, (std::vector<Word>{1, 2, 3, 4}));
 }
 
+/** Fill @p m page-wise and @p ref word by word, then compare both. */
+void
+fillBoth(GlobalMemory &m, GlobalMemory &ref, Addr addr,
+         const std::vector<Word> &values)
+{
+    m.fillWords(addr, values);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        ref.writeWord(addr + i * kBytesPerWord, values[i]);
+    EXPECT_EQ(m.pageCount(), ref.pageCount()) << "fill at " << addr;
+}
+
+/** readWords over [lo, hi) matches the reference's per-word reads. */
+void
+expectSameWords(const GlobalMemory &m, const GlobalMemory &ref, Addr lo,
+                Addr hi)
+{
+    const std::vector<Word> got = m.readWords(lo, (hi - lo) / kBytesPerWord);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const Addr a = lo + i * kBytesPerWord;
+        ASSERT_EQ(got[i], ref.readWord(a)) << "word at " << a;
+    }
+}
+
+std::vector<Word>
+randomWords(Rng &rng, std::size_t n)
+{
+    std::vector<Word> v(n);
+    for (Word &w : v)
+        w = rng.next32() | 1; // never zero: a skipped word shows
+    return v;
+}
+
+TEST(GlobalMemory, FillWordsMatchesPerWordWrites)
+{
+    constexpr Addr kPage = GlobalMemory::kPageBytes;
+    constexpr std::size_t kPageWords = kPage / kBytesPerWord;
+    GlobalMemory m, ref;
+    Rng rng(42);
+
+    fillBoth(m, ref, 0x10000, randomWords(rng, kPageWords)); // one page
+    fillBoth(m, ref, 0x20000 + 0x40, randomWords(rng, 100)); // mid-page
+    // Straddles three page boundaries, starting one word before one.
+    fillBoth(m, ref, 0x30000 - 4, randomWords(rng, 2 * kPageWords + 3));
+    fillBoth(m, ref, 0x50000, {}); // empty: creates no page
+    // Overwrite a middle stretch: its neighbours keep their values.
+    fillBoth(m, ref, 0x10000 + 0x100, randomWords(rng, 8));
+    for (int i = 0; i < 64; ++i) {
+        const Addr addr = 0x100000 + rng.below(8 * kPage / 4) * 4;
+        fillBoth(m, ref, addr, randomWords(rng, rng.below(3 * kPageWords)));
+    }
+
+    expectSameWords(m, ref, 0x10000 - kPage, 0x10000 + 2 * kPage);
+    expectSameWords(m, ref, 0x20000, 0x20000 + kPage);
+    expectSameWords(m, ref, 0x30000 - 2 * kPage, 0x30000 + 4 * kPage);
+    expectSameWords(m, ref, 0x50000 - 4, 0x50000 + 4);
+    expectSameWords(m, ref, 0x100000 - kPage, 0x100000 + 12 * kPage);
+    // A read span starting mid-page and crossing an absent page.
+    expectSameWords(m, ref, 0x30000 + 2 * kPage + 0x20,
+                    0x30000 + 4 * kPage + 0x40);
+    EXPECT_EQ(m.readWords(0x2000, 0), std::vector<Word>{});
+}
+
 TEST(GmemTxn, AbsentPageReadsZeroAndIsNotCached)
 {
     GlobalMemory m;
@@ -80,11 +143,52 @@ TEST(GmemTxn, CachedPageSeesOtherWriters)
     EXPECT_EQ(m.readWord(0x5ffc), 3u); // writes go straight through
 }
 
+TEST(GmemTxn, StoreThenLoadThroughOneView)
+{
+    GlobalMemory m;
+    GmemTxn view(m);
+    view.writeWord(0x7000, 5);  // creates and caches the page
+    view.writeWord(0x7ffc, 6);  // in place
+    EXPECT_EQ(view.readWord(0x7000), 5u);
+    EXPECT_EQ(view.readWord(0x7ffc), 6u);
+    view.writeWord(0x8000, 7);  // next page becomes the cached one
+    EXPECT_EQ(view.readWord(0x7ffc), 6u);
+    EXPECT_EQ(view.readWord(0x8000), 7u);
+    view.writeWord(0x8000, 8);  // after a load of the same page
+    EXPECT_EQ(view.readWord(0x8000), 8u);
+    EXPECT_EQ(m.readWord(0x7000), 5u);
+    EXPECT_EQ(m.readWord(0x8000), 8u);
+    EXPECT_EQ(m.readWord(0x8004), 0u);
+    EXPECT_EQ(m.pageCount(), 2u);
+}
+
+TEST(GmemTxn, StoreCreatesPageOtherViewsRead)
+{
+    GlobalMemory m;
+    GmemTxn a(m), b(m);
+    EXPECT_EQ(a.readWord(0x9000), 0u); // absent: not cached
+    b.writeWord(0x9004, 0x77);         // b creates the page
+    EXPECT_EQ(m.pageCount(), 1u);
+    EXPECT_EQ(a.readWord(0x9004), 0x77u); // now a caches it
+    b.writeWord(0x9008, 0x78);            // b's store through its cache
+    EXPECT_EQ(a.readWord(0x9008), 0x78u);
+    a.writeWord(0x900c, 0x79);            // a's store in place
+    EXPECT_EQ(b.readWord(0x900c), 0x79u);
+    EXPECT_EQ(m.readWord(0x900c), 0x79u);
+    EXPECT_EQ(m.pageCount(), 1u);
+}
+
 TEST(GlobalMemoryDeath, UnalignedAccessPanics)
 {
     GlobalMemory m;
     EXPECT_DEATH(m.writeWord(3, 1), "unaligned");
     EXPECT_DEATH(m.readWord(5), "unaligned");
+}
+
+TEST(GlobalMemoryDeath, UnalignedFillPanics)
+{
+    GlobalMemory m;
+    EXPECT_DEATH(m.fillWords(0x1002, {1, 2}), "unaligned");
 }
 
 } // namespace

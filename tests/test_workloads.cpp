@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "common/log.hpp"
@@ -73,6 +74,57 @@ TEST(Workloads, LookupByName)
 {
     EXPECT_EQ(makeWorkload("BP").fullName, "backprop");
     EXPECT_EQ(makeWorkload("LBM").suite, "parboil");
+}
+
+/** Whether two set-ups wrote the same pages with the same bytes. */
+void
+expectSameMemory(GlobalMemory &a, GlobalMemory &b, const std::string &name)
+{
+    // Every workload writes below 16 MB (data_gen.hpp's layout): scan
+    // that range page by page and check it holds every page.
+    constexpr Addr kTop = Addr{1} << 24;
+    std::size_t seen = 0;
+    for (Addr addr = 0; addr < kTop; addr += GlobalMemory::kPageBytes) {
+        const std::uint8_t *pa = a.pageBytes(addr);
+        const std::uint8_t *pb = b.pageBytes(addr);
+        ASSERT_EQ(pa == nullptr, pb == nullptr) << name << " page " << addr;
+        if (pa == nullptr)
+            continue;
+        ++seen;
+        ASSERT_EQ(std::memcmp(pa, pb, GlobalMemory::kPageBytes), 0)
+            << name << " page " << addr;
+    }
+    EXPECT_EQ(seen, a.pageCount()) << name;
+    EXPECT_EQ(seen, b.pageCount()) << name;
+}
+
+TEST(Workloads, LookupBuildsTheSuiteEntry)
+{
+    const std::vector<Workload> suite = makeSuite();
+    ASSERT_EQ(suite.size(), workloadNames().size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const Workload &want = suite[i];
+        const std::string &name = workloadNames()[i];
+        const Workload got = makeWorkload(name);
+        EXPECT_EQ(got.name, name);
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.fullName, want.fullName) << name;
+        EXPECT_EQ(got.suite, want.suite) << name;
+        ASSERT_EQ(got.launches.size(), want.launches.size()) << name;
+        for (std::size_t k = 0; k < got.launches.size(); ++k) {
+            const WorkloadLaunch &g = got.launches[k], &w = want.launches[k];
+            EXPECT_EQ(g.dims.ctas, w.dims.ctas) << name;
+            EXPECT_EQ(g.dims.threadsPerCta, w.dims.threadsPerCta) << name;
+            EXPECT_EQ(g.kernel.disassemble(), w.kernel.disassemble())
+                << name << " kernel " << k;
+        }
+        ASSERT_TRUE(got.setup && want.setup) << name;
+        GlobalMemory ma, mb;
+        got.setup(ma, 7);
+        want.setup(mb, 7);
+        EXPECT_GT(ma.pageCount(), 0u) << name;
+        expectSameMemory(ma, mb, name);
+    }
 }
 
 TEST(WorkloadsDeath, UnknownNameIsFatal)
