@@ -8,6 +8,8 @@
 #ifndef GSCALAR_COMMON_ARCH_MODE_HPP
 #define GSCALAR_COMMON_ARCH_MODE_HPP
 
+#include <array>
+#include <optional>
 #include <string_view>
 
 namespace gs
@@ -63,6 +65,25 @@ archModeName(ArchMode m)
       case ArchMode::GScalarFull: return "gscalar";
     }
     return "?";
+}
+
+/** Every mode, in enum order: kArchModes[i] == ArchMode(i). */
+inline constexpr std::array kArchModes = {
+    ArchMode::Baseline,           ArchMode::AluScalar,
+    ArchMode::WarpedCompression,  ArchMode::GScalarCompressOnly,
+    ArchMode::GScalarNoDiv,       ArchMode::GScalarFull};
+
+static_assert(kArchModes.back() == ArchMode(kArchModes.size() - 1),
+              "kArchModes must list every ArchMode in enum order");
+
+/** The mode archModeName() spells @p name; empty when none does. */
+constexpr std::optional<ArchMode>
+parseArchMode(std::string_view name)
+{
+    for (const ArchMode m : kArchModes)
+        if (name == archModeName(m))
+            return m;
+    return std::nullopt;
 }
 
 /** True when the mode stores registers in our byte-mask compressed form. */

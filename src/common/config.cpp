@@ -1,7 +1,11 @@
 #include "config.hpp"
 
+#include <concepts>
+#include <type_traits>
+
 #include "bit_utils.hpp"
 #include "log.hpp"
+#include "parse.hpp"
 #include "table.hpp"
 
 namespace gs
@@ -33,10 +37,14 @@ ArchConfig::check() const
                          " banks");
     if (!isPow2(lineBytes) || lineBytes < kBytesPerWord)
         return formatMsg("cache line size must be a power-of-two >= 4");
-    if (l1Assoc == 0 || l1Bytes % (lineBytes * l1Assoc) != 0)
+    // 64-bit products: a 32-bit one can wrap to 0 on hostile sizes.
+    if (l1Assoc == 0 || l1Bytes % (std::uint64_t(lineBytes) * l1Assoc) != 0)
         return formatMsg("L1 geometry does not divide into sets");
-    if (l2Assoc == 0 || l2Bytes % (lineBytes * l2Assoc) != 0)
+    if (l2Assoc == 0 || l2Bytes % (std::uint64_t(lineBytes) * l2Assoc) != 0)
         return formatMsg("L2 geometry does not divide into sets");
+    if (memChannels == 0 ||
+        l2Bytes / memChannels < std::uint64_t(lineBytes) * l2Assoc)
+        return formatMsg("L2 needs at least one set per memory channel");
     if (scalarRfBanks == 0)
         return formatMsg("scalar RF needs at least one bank");
     if (sharedBanks == 0 || sharedBanks > kMaxWarpSize)
@@ -52,11 +60,20 @@ ArchConfig::check() const
     if (!(dramRequestsPerCycle > 0) || !(coreClockGhz > 0))
         return formatMsg("DRAM requests/cycle and core clock must be "
                          "positive");
-    if (static_cast<std::uint32_t>(codec) >= kNumCodecs)
-        return formatMsg("codec id ",
-                         static_cast<std::uint32_t>(codec),
-                         " is not a registered codec");
-    return {};
+
+    // Bounds pass: every integer and enum member within its table row.
+    std::string err;
+    forEachConfigField(*this, [&](const ConfigField &f, const auto &m) {
+        using T = std::remove_cvref_t<decltype(m)>;
+        if constexpr (!std::is_same_v<T, bool> &&
+                      !std::is_floating_point_v<T>) {
+            const std::uint64_t x = static_cast<std::uint64_t>(m);
+            if (err.empty() && (x < f.lo || x > f.hi))
+                err = formatMsg(f.name, " ", x, " out of range [", f.lo,
+                                ", ", f.hi, "]");
+        }
+    });
+    return err;
 }
 
 void
@@ -90,48 +107,91 @@ ArchConfig::fingerprint() const
 {
     std::uint64_t h = 0xcbf29ce484222325ull; // FNV offset basis
 
-    mixField(h, static_cast<std::uint32_t>(mode));
-    mixField(h, numSms);
-    mixField(h, warpSize);
-    mixField(h, simtWidth);
-    mixField(h, sfuWidth);
-    mixField(h, numAluPipes);
-    mixField(h, maxThreadsPerSm);
-    mixField(h, maxCtasPerSm);
-    mixField(h, numVregsPerSm);
-    mixField(h, numBanks);
-    mixField(h, arraysPerBank);
-    mixField(h, numCollectors);
-    mixField(h, numSchedulers);
-    mixField(h, static_cast<std::uint32_t>(schedPolicy));
-    mixField(h, checkGranularity);
-    mixField(h, halfRegisterCompression);
-    mixField(h, scalarRfBanks);
-    mixField(h, insertSpecialMoves);
-    mixField(h, compilerAssistedSmov);
-    mixField(h, scalarShortensOccupancy);
-    mixField(h, aluLatency);
-    mixField(h, mulLatency);
-    mixField(h, divLatency);
-    mixField(h, sfuLatency);
-    mixField(h, lineBytes);
-    mixField(h, l1Bytes);
-    mixField(h, l1Assoc);
-    mixField(h, l1Latency);
-    mixField(h, l1MshrEntries);
-    mixField(h, l2Bytes);
-    mixField(h, l2Assoc);
-    mixField(h, l2Latency);
-    mixField(h, dramLatency);
-    mixField(h, memChannels);
-    mixField(h, dramRequestsPerCycle);
-    mixField(h, sharedLatency);
-    mixField(h, sharedBanks);
-    mixField(h, coreClockGhz);
-    mixField(h, maxCycles);
-    mixField(h, seed);
-    mixField(h, static_cast<std::uint32_t>(codec));
+    forEachConfigField(*this, [&h](const ConfigField &, const auto &m) {
+        using T = std::remove_cvref_t<decltype(m)>;
+        if constexpr (std::is_enum_v<T>)
+            mixField(h, static_cast<std::uint32_t>(m));
+        else
+            mixField(h, m);
+    });
     return h;
+}
+
+namespace
+{
+
+/** The knob parser for one member type; @p f gives its bounds. */
+std::string
+parseKnob(const ConfigField &f, std::string_view value,
+          std::unsigned_integral auto &out)
+{
+    const std::optional<std::uint64_t> v = parseDecimal(value, f.lo, f.hi);
+    if (v)
+        out = std::remove_reference_t<decltype(out)>(*v);
+    else if (f.hi == UINT64_MAX)
+        return detail::formatMsg("'", value,
+                                 "' wants a non-negative integer");
+    else
+        return detail::formatMsg("'", value, "' wants an integer in [",
+                                 f.lo, ", ", f.hi, "]");
+    return {};
+}
+
+std::string
+parseKnob(const ConfigField &, std::string_view value, bool &out)
+{
+    if (value != "true" && value != "false")
+        return detail::formatMsg("'", value, "' wants true or false");
+    out = value == "true";
+    return {};
+}
+
+std::string
+parseKnob(const ConfigField &, std::string_view value, ArchMode &out)
+{
+    const std::optional<ArchMode> m = parseArchMode(value);
+    if (!m)
+        return detail::formatMsg("unknown mode '", value, "'");
+    out = *m;
+    return {};
+}
+
+std::string
+parseKnob(const ConfigField &, std::string_view value, CodecId &out)
+{
+    const std::optional<CodecId> c = parseCodecId(value);
+    if (!c)
+        return detail::formatMsg("unknown codec '", value, "' (want ",
+                                 codecIdList(), ")");
+    out = *c;
+    return {};
+}
+
+} // namespace
+
+std::optional<std::string>
+applyConfigKnob(ArchConfig &cfg, std::string_view knob,
+                std::string_view value)
+{
+    std::optional<std::string> why;
+    forEachConfigField(cfg, [&](const ConfigField &f, auto &m) {
+        if constexpr (requires { parseKnob(f, value, m); })
+            if (f.knob && knob == f.knob)
+                why = parseKnob(f, value, m);
+    });
+    return why;
+}
+
+std::string
+configKnobList()
+{
+    std::string out;
+    ArchConfig cfg;
+    forEachConfigField(cfg, [&out](const ConfigField &f, const auto &) {
+        if (f.knob)
+            out += (out.empty() ? "" : ", ") + std::string(f.knob);
+    });
+    return out;
 }
 
 std::string

@@ -8,6 +8,7 @@
 #define GSCALAR_COMMON_CONFIG_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "arch_mode.hpp"
@@ -159,6 +160,115 @@ struct ArchConfig
      */
     std::uint64_t fingerprint() const;
 };
+
+/** One ArchConfig member's row in forEachConfigField(). */
+struct ConfigField
+{
+    /** Serial wire tag and fingerprint position: append-only, never
+     *  renumbered or reused. */
+    std::uint16_t tag;
+    const char *name; ///< member name, for error messages
+    const char *knob; ///< sweep/CLI knob name; nullptr when not a knob
+    /** Inclusive bounds of an integer or enum member. */
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+};
+
+/**
+ * The ArchConfig field table: calls v(field, member) once per member,
+ * in tag order. fingerprint(), check()'s bounds pass, the serial
+ * encoding (store/serial.cpp) and applyConfigKnob() all read it, so a
+ * new member takes one line here; the static_asserts below catch a
+ * member that skips it. Size and count bounds come from the sweep knob
+ * ranges where those exist, else allow 64x the Table 1 default.
+ */
+template <typename Cfg, typename V>
+constexpr void
+forEachConfigField(Cfg &c, V &&v)
+{
+    constexpr std::uint64_t kAny = UINT64_MAX;
+    v(ConfigField{1, "mode", "mode", 0, kArchModes.size() - 1}, c.mode);
+    v(ConfigField{2, "numSms", "sms", 1, 4096}, c.numSms);
+    v(ConfigField{3, "warpSize", "warp", 1, 1024}, c.warpSize);
+    v(ConfigField{4, "simtWidth", nullptr, 1, 1024}, c.simtWidth);
+    v(ConfigField{5, "sfuWidth", nullptr, 1, 256}, c.sfuWidth);
+    v(ConfigField{6, "numAluPipes", nullptr, 1, 128}, c.numAluPipes);
+    v(ConfigField{7, "maxThreadsPerSm", nullptr, 1, 98304},
+      c.maxThreadsPerSm);
+    v(ConfigField{8, "maxCtasPerSm", nullptr, 1, 512}, c.maxCtasPerSm);
+    v(ConfigField{9, "numVregsPerSm", nullptr, 1, 65536}, c.numVregsPerSm);
+    v(ConfigField{10, "numBanks", nullptr, 1, 1024}, c.numBanks);
+    v(ConfigField{11, "arraysPerBank", nullptr, 1, 512}, c.arraysPerBank);
+    v(ConfigField{12, "numCollectors", nullptr, 1, 1024}, c.numCollectors);
+    v(ConfigField{13, "numSchedulers", nullptr, 1, 128}, c.numSchedulers);
+    v(ConfigField{14, "schedPolicy", nullptr, 0,
+                  std::uint64_t(SchedPolicy::GreedyThenOldest)},
+      c.schedPolicy);
+    v(ConfigField{15, "checkGranularity", "check-granularity", 1, 1024},
+      c.checkGranularity);
+    v(ConfigField{16, "halfRegisterCompression", "half-reg", 0, 1},
+      c.halfRegisterCompression);
+    v(ConfigField{17, "scalarRfBanks", "scalar-banks", 1, 64},
+      c.scalarRfBanks);
+    v(ConfigField{18, "insertSpecialMoves", "smov", 0, 1},
+      c.insertSpecialMoves);
+    v(ConfigField{19, "compilerAssistedSmov", "compiler-smov", 0, 1},
+      c.compilerAssistedSmov);
+    v(ConfigField{20, "scalarShortensOccupancy", "scalar-occupancy", 0, 1},
+      c.scalarShortensOccupancy);
+    v(ConfigField{21, "aluLatency", nullptr, 0, 896}, c.aluLatency);
+    v(ConfigField{22, "mulLatency", nullptr, 0, 1152}, c.mulLatency);
+    v(ConfigField{23, "divLatency", nullptr, 0, 3840}, c.divLatency);
+    v(ConfigField{24, "sfuLatency", nullptr, 0, 1536}, c.sfuLatency);
+    v(ConfigField{25, "lineBytes", nullptr, 4, 8192}, c.lineBytes);
+    v(ConfigField{26, "l1Bytes", nullptr, 1, 1u << 20}, c.l1Bytes);
+    v(ConfigField{27, "l1Assoc", nullptr, 1, 256}, c.l1Assoc);
+    v(ConfigField{28, "l1Latency", nullptr, 0, 1920}, c.l1Latency);
+    v(ConfigField{29, "l1MshrEntries", nullptr, 1, 4096}, c.l1MshrEntries);
+    v(ConfigField{30, "l2Bytes", nullptr, 1, 48u << 20}, c.l2Bytes);
+    v(ConfigField{31, "l2Assoc", nullptr, 1, 512}, c.l2Assoc);
+    v(ConfigField{32, "l2Latency", nullptr, 0, 7680}, c.l2Latency);
+    v(ConfigField{33, "dramLatency", nullptr, 0, 16000}, c.dramLatency);
+    v(ConfigField{34, "memChannels", nullptr, 1, 384}, c.memChannels);
+    v(ConfigField{35, "dramRequestsPerCycle", nullptr},
+      c.dramRequestsPerCycle);
+    v(ConfigField{36, "sharedLatency", nullptr, 0, 1536}, c.sharedLatency);
+    v(ConfigField{37, "sharedBanks", nullptr, 1, 2048}, c.sharedBanks);
+    v(ConfigField{38, "coreClockGhz", nullptr}, c.coreClockGhz);
+    v(ConfigField{39, "maxCycles", "max-cycles", 0, kAny}, c.maxCycles);
+    v(ConfigField{40, "seed", "seed", 0, kAny}, c.seed);
+    v(ConfigField{41, "codec", "codec", 0, kNumCodecs - 1}, c.codec);
+}
+
+/** Rows in the field table; 0 when the tags do not run 1, 2, 3, ... */
+inline constexpr unsigned kNumConfigFields = [] {
+    ArchConfig c{};
+    unsigned n = 0;
+    bool dense = true;
+    forEachConfigField(c, [&](const ConfigField &f, const auto &) {
+        dense = dense && f.tag == ++n;
+    });
+    return dense ? n : 0;
+}();
+
+static_assert(kNumConfigFields == 41,
+              "forEachConfigField tags must run 1..N with no gap");
+static_assert(sizeof(ArchConfig) == 176,
+              "ArchConfig changed: give the new member a row in "
+              "forEachConfigField (next tag), then update this size");
+
+/**
+ * Parse @p value into the member whose knob name is @p knob (the sweep
+ * manifest's and the CLI's config knobs), with that row's bounds.
+ * Returns an empty string on success, else why @p value is bad; empty
+ * optional when no member carries @p knob.
+ */
+std::optional<std::string> applyConfigKnob(ArchConfig &cfg,
+                                           std::string_view knob,
+                                           std::string_view value);
+
+/** Comma-separated knob names in table order (error messages). */
+std::string configKnobList();
 
 } // namespace gs
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "health.hpp"
 
 namespace gs
@@ -129,23 +130,18 @@ FaultInjector::configure(const std::string &specList, std::string *error)
 
         char *end = nullptr;
         s.rate = std::strtod(parts[2].c_str(), &end);
-        if (parts[2].empty() || !end || *end != '\0' || s.rate < 0 ||
-            s.rate > 1)
+        if (parts[2].empty() || !end || *end != '\0' ||
+            !(s.rate >= 0 && s.rate <= 1))
             return fail("fault rate '" + parts[2] +
                         "' wants a number in [0, 1]");
 
         if (parts.size() == 4) {
-            // strtoull wraps negatives silently; insist on digits only.
-            const bool digits =
-                !parts[3].empty() &&
-                parts[3].find_first_not_of("0123456789") ==
-                    std::string::npos;
-            const unsigned long long v =
-                digits ? std::strtoull(parts[3].c_str(), &end, 10) : 0;
-            if (!digits || !end || *end != '\0')
+            const std::optional<std::uint64_t> seed =
+                parseDecimal(parts[3]);
+            if (!seed)
                 return fail("fault seed '" + parts[3] +
                             "' wants a non-negative integer");
-            s.seed = v;
+            s.seed = *seed;
         }
 
         auto armed = std::make_unique<Armed>();

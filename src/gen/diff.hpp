@@ -26,10 +26,7 @@ namespace gs
 struct DiffOptions
 {
     /** Architecture modes to run; default is all six. */
-    std::vector<ArchMode> modes = {
-        ArchMode::Baseline,          ArchMode::AluScalar,
-        ArchMode::WarpedCompression, ArchMode::GScalarCompressOnly,
-        ArchMode::GScalarNoDiv,      ArchMode::GScalarFull};
+    std::vector<ArchMode> modes{kArchModes.begin(), kArchModes.end()};
     unsigned numSms = 2;
     /** Cycle-sim watchdog per mode (partial results past this). */
     std::uint64_t maxCycles = 20'000'000;

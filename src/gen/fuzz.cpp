@@ -5,6 +5,7 @@
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "harness/engine.hpp"
 
@@ -224,29 +225,13 @@ replayReproducer(const std::string &path, const DiffOptions &opt,
 std::optional<std::uint64_t>
 parseCountValue(const std::string &s)
 {
-    if (s.empty() || s.size() > 7 ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    const std::uint64_t v = std::stoull(s);
-    if (v < 1 || v > 1'000'000)
-        return std::nullopt;
-    return v;
+    return parseDecimal(s, 1, 1'000'000);
 }
 
 std::optional<std::uint64_t>
 parseSeedValue(const std::string &s)
 {
-    if (s.empty() || s.size() > 20 ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    std::uint64_t v = 0;
-    for (const char c : s) {
-        const std::uint64_t digit = std::uint64_t(c - '0');
-        if (v > (UINT64_MAX - digit) / 10)
-            return std::nullopt;
-        v = v * 10 + digit;
-    }
-    return v;
+    return parseDecimal(s);
 }
 
 } // namespace gs

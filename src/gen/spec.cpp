@@ -1,9 +1,9 @@
 #include "spec.hpp"
 
-#include <cstdlib>
 #include <string_view>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "store/serial.hpp"
 
 namespace gs
@@ -45,31 +45,6 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-/**
- * Digits-only u64 parse with overflow rejection. strtoull accepts
- * "-1" (wrapping) and "0x10"; a knob value wants neither.
- */
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    // 20 digits can overflow u64; 19 never do. Check the boundary by
-    // round-tripping through strtoull with errno-free arithmetic.
-    if (text.size() > 20)
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : text) {
-        const std::uint64_t digit = std::uint64_t(c - '0');
-        if (v > (UINT64_MAX - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
 }
 
 } // namespace
@@ -138,10 +113,11 @@ setGenKnob(GenSpec &spec, const std::string &knob,
         return false;
     };
 
-    std::uint64_t v = 0;
-    if (!parseU64(value, v))
+    const std::optional<std::uint64_t> parsed = parseDecimal(value);
+    if (!parsed)
         return fail("gen knob " + knob + "='" + value +
                     "' wants a non-negative integer");
+    const std::uint64_t v = *parsed;
 
     if (knob == "seed") {
         spec.seed = v;

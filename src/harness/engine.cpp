@@ -10,6 +10,7 @@
 
 #include "common/codec_id.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
@@ -441,17 +442,8 @@ setDefaultCacheEnabled(bool enabled)
 std::optional<unsigned>
 parseJobsValue(const std::string &s)
 {
-    if (s.empty() || s.size() > 4)
-        return std::nullopt;
-    unsigned v = 0;
-    for (const char c : s) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-        v = v * 10 + unsigned(c - '0');
-    }
-    if (v == 0 || v > 4096)
-        return std::nullopt;
-    return v;
+    const std::optional<std::uint64_t> v = parseDecimal(s, 1, 4096);
+    return v ? std::optional<unsigned>(unsigned(*v)) : std::nullopt;
 }
 
 void

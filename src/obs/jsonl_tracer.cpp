@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "result.hpp"
 
 namespace gs
@@ -22,12 +23,10 @@ parseTraceSpec(const std::string &spec)
     }
     out.path = spec.substr(0, colon);
     const std::string divisor = spec.substr(colon + 3);
-    if (out.path.empty() || divisor.empty() ||
-        divisor.find_first_not_of("0123456789") != std::string::npos)
+    const std::optional<std::uint64_t> n = parseDecimal(divisor, 1);
+    if (out.path.empty() || !n)
         return std::nullopt;
-    out.sampleN = std::strtoull(divisor.c_str(), nullptr, 10);
-    if (out.sampleN == 0)
-        return std::nullopt;
+    out.sampleN = *n;
     return out;
 }
 

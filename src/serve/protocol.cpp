@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/parse.hpp"
 #include "fault/fault.hpp"
 
 namespace gs
@@ -144,18 +145,14 @@ parseConnectTarget(const std::string &spec, std::string *error,
         host = host.substr(1, host.size() - 2);
     if (host.empty())
         return fail("empty host");
-    if (port.empty() ||
-        port.find_first_not_of("0123456789") != std::string::npos)
-        return fail("port wants digits only");
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(port.c_str(), &end, 10);
-    const unsigned long lo = allowPortZero ? 0 : 1;
-    if (!end || *end != '\0' || v < lo || v > 65535)
+    const std::optional<std::uint64_t> v =
+        parseDecimal(port, allowPortZero ? 0 : 1, 65535);
+    if (!v)
         return fail("port wants an integer in [1, 65535]");
 
     ConnectTarget t;
     t.host = std::move(host);
-    t.port = std::uint16_t(v);
+    t.port = std::uint16_t(*v);
     return t;
 }
 

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "workloads/workload.hpp"
@@ -1189,6 +1190,82 @@ GscalarServer::installSignalHandlers(std::string *error)
     }
     handlersInstalled_ = true;
     return true;
+}
+
+namespace
+{
+
+/** Whole-string seconds in [0, one day]: no sign, exponent, inf or
+ *  nan reaches the reactor's integer timeout casts. */
+std::optional<double>
+parseSeconds(const std::string &v)
+{
+    char *end = nullptr;
+    const double s = std::strtod(v.c_str(), &end);
+    if (v.empty() || v.find_first_not_of("0123456789.") != std::string::npos ||
+        *end != '\0' || !(s >= 0 && s <= 86400))
+        return std::nullopt;
+    return s;
+}
+
+} // namespace
+
+std::string
+parseServeFlags(int argc, char **argv, int &i, GscalarServer::Options &opts)
+{
+    for (; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--cache" || a.rfind("--fault=", 0) == 0)
+            continue; // process-wide: initHarness() applies it
+        const bool processWide = a == "--codec" || a == "--fault" ||
+                                 a == "--jobs" || a == "-j" ||
+                                 a == "--sim-threads";
+        if (!processWide && a != "--socket" && a != "--tcp" &&
+            a != "--timeout" && a != "--idle-timeout" &&
+            a != "--max-connections" && a != "--max-frame-bytes" &&
+            a != "--max-queued" && a != "--service-threads")
+            return {};
+        if (i + 1 >= argc)
+            return a + " needs a value";
+        const std::string v = argv[++i];
+        if (processWide)
+            continue;
+        auto count = [&v](std::uint64_t lo, std::uint64_t hi, auto &out) {
+            const std::optional<std::uint64_t> n = parseDecimal(v, lo, hi);
+            if (n)
+                out = std::remove_reference_t<decltype(out)>(*n);
+            return n ? std::string()
+                     : detail::formatMsg("want an integer in [", lo, ", ",
+                                         hi, "]");
+        };
+        std::string why;
+        if (a == "--socket") {
+            opts.socketPath = v;
+        } else if (a == "--tcp") {
+            if (parseConnectTarget(v, &why, /*allowPortZero=*/true))
+                opts.tcpBind = v;
+        } else if (a == "--timeout" || a == "--idle-timeout") {
+            const std::optional<double> s = parseSeconds(v);
+            if (!s)
+                why = "want seconds in [0, 86400]";
+            else
+                (a == "--timeout" ? opts.requestTimeoutSec
+                                  : opts.idleTimeoutSec) = *s;
+        } else if (a == "--max-connections") {
+            why = count(0, UINT32_MAX, opts.maxConnections);
+        } else if (a == "--max-frame-bytes") {
+            why = count(1, kMaxFrameBytes, opts.maxFrameBytes);
+        } else if (a == "--max-queued") {
+            why = count(0, UINT32_MAX, opts.maxQueuedFlights);
+        } else if (const std::optional<unsigned> n = parseJobsValue(v)) {
+            opts.serviceThreads = *n; // --service-threads, the last flag
+        } else {
+            why = "want an integer in [1, 4096]";
+        }
+        if (!why.empty())
+            return "invalid " + a + " value '" + v + "': " + why;
+    }
+    return {};
 }
 
 } // namespace gs

@@ -334,6 +334,18 @@ class GscalarServer
     struct sigaction oldInt_ = {}, oldTerm_ = {};
 };
 
+/**
+ * Parse the daemon flags that gscalard and `gscalar serve` share, from
+ * argv[i] on, into @p opts. The process-wide ones (--jobs, --codec,
+ * --cache, --fault, --sim-threads) are skipped: initHarness() applies
+ * them. Stops at the first argument that is not a daemon flag and
+ * leaves @p i on it (i == argc when all were consumed), so each binary
+ * treats that its own way. Returns the first missing or malformed
+ * value as an error, else an empty string.
+ */
+std::string parseServeFlags(int argc, char **argv, int &i,
+                            GscalarServer::Options &opts);
+
 } // namespace gs
 
 #endif // GSCALAR_SERVE_SERVER_HPP

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "serial.hpp"
@@ -78,14 +79,10 @@ DiskRunCache::fromEnv(bool useDefaultDir)
 
     std::uint64_t maxBytes = kDefaultMaxBytes;
     if (const char *env = std::getenv("GS_CACHE_MAX_MB"); env && *env) {
-        // Digits only: strtoull would negate "-1" into a huge cap. An
-        // overflow saturates at ULLONG_MAX, which kMaxMb rejects.
-        char *end = nullptr;
-        const unsigned long long mb = std::strtoull(env, &end, 10);
-        constexpr std::uint64_t kMaxMb = UINT64_MAX / (1024 * 1024);
-        if (env[0] >= '0' && env[0] <= '9' && *end == '\0' &&
-            mb <= kMaxMb)
-            maxBytes = mb * 1024 * 1024; // 0 => unlimited
+        const std::optional<std::uint64_t> mb =
+            parseDecimal(env, 0, UINT64_MAX / (1024 * 1024));
+        if (mb)
+            maxBytes = *mb * 1024 * 1024; // 0 => unlimited
         else
             GS_WARN("ignoring GS_CACHE_MAX_MB='", env,
                     "' (want a whole number of MB below 2^44)");

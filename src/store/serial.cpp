@@ -1,6 +1,7 @@
 #include "serial.hpp"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hpp"
 
@@ -358,56 +359,10 @@ ByteReader::getBlobs(std::uint16_t tag)
 // One visitor per struct lists (tag, field) pairs; serialization and
 // deserialization share the list so they can never drift apart. Tags
 // are append-only: renumbering breaks every existing cache file.
+// ArchConfig's list is forEachConfigField() in common/config.hpp.
 
 namespace
 {
-
-template <typename Cfg, typename V>
-void
-visitConfig(Cfg &c, V &&v)
-{
-    v(1, c.mode);
-    v(2, c.numSms);
-    v(3, c.warpSize);
-    v(4, c.simtWidth);
-    v(5, c.sfuWidth);
-    v(6, c.numAluPipes);
-    v(7, c.maxThreadsPerSm);
-    v(8, c.maxCtasPerSm);
-    v(9, c.numVregsPerSm);
-    v(10, c.numBanks);
-    v(11, c.arraysPerBank);
-    v(12, c.numCollectors);
-    v(13, c.numSchedulers);
-    v(14, c.schedPolicy);
-    v(15, c.checkGranularity);
-    v(16, c.halfRegisterCompression);
-    v(17, c.scalarRfBanks);
-    v(18, c.insertSpecialMoves);
-    v(19, c.compilerAssistedSmov);
-    v(20, c.scalarShortensOccupancy);
-    v(21, c.aluLatency);
-    v(22, c.mulLatency);
-    v(23, c.divLatency);
-    v(24, c.sfuLatency);
-    v(25, c.lineBytes);
-    v(26, c.l1Bytes);
-    v(27, c.l1Assoc);
-    v(28, c.l1Latency);
-    v(29, c.l1MshrEntries);
-    v(30, c.l2Bytes);
-    v(31, c.l2Assoc);
-    v(32, c.l2Latency);
-    v(33, c.dramLatency);
-    v(34, c.memChannels);
-    v(35, c.dramRequestsPerCycle);
-    v(36, c.sharedLatency);
-    v(37, c.sharedBanks);
-    v(38, c.coreClockGhz);
-    v(39, c.maxCycles);
-    v(40, c.seed);
-    v(41, c.codec);
-}
 
 template <typename Ev, typename V>
 void
@@ -502,32 +457,22 @@ visitPower(P &p, V &&v)
     v(10, p.seconds);
 }
 
-/** Writes each visited field into a ByteWriter. */
+/** Writes each visited field into a ByteWriter; enums go as u32. */
 struct FieldWriter
 {
     ByteWriter &w;
 
-    void operator()(std::uint16_t tag, const bool &v) { w.field(tag, v); }
-    void operator()(std::uint16_t tag, const std::uint32_t &v)
+    template <typename T>
+    void operator()(std::uint16_t tag, const T &v)
     {
-        w.field(tag, v);
+        if constexpr (std::is_enum_v<T>)
+            w.field(tag, static_cast<std::uint32_t>(v));
+        else
+            w.field(tag, v);
     }
-    void operator()(std::uint16_t tag, const std::uint64_t &v)
+    void operator()(const ConfigField &f, const auto &v)
     {
-        w.field(tag, v);
-    }
-    void operator()(std::uint16_t tag, const double &v) { w.field(tag, v); }
-    void operator()(std::uint16_t tag, const ArchMode &v)
-    {
-        w.field(tag, static_cast<std::uint32_t>(v));
-    }
-    void operator()(std::uint16_t tag, const SchedPolicy &v)
-    {
-        w.field(tag, static_cast<std::uint32_t>(v));
-    }
-    void operator()(std::uint16_t tag, const CodecId &v)
-    {
-        w.field(tag, static_cast<std::uint32_t>(v));
+        (*this)(f.tag, v);
     }
 };
 
@@ -536,41 +481,34 @@ struct FieldReader
 {
     ByteReader &r;
 
-    void operator()(std::uint16_t tag, bool &v) { r.get(tag, v); }
-    void operator()(std::uint16_t tag, std::uint32_t &v) { r.get(tag, v); }
-    void operator()(std::uint16_t tag, std::uint64_t &v) { r.get(tag, v); }
-    void operator()(std::uint16_t tag, double &v) { r.get(tag, v); }
-    void operator()(std::uint16_t tag, ArchMode &v)
+    template <typename T>
+    void operator()(std::uint16_t tag, T &v)
     {
-        std::uint32_t x;
-        if (!r.get(tag, x))
-            return;
-        if (x > static_cast<std::uint32_t>(ArchMode::GScalarFull))
-            r.fail("ArchMode value " + std::to_string(x) + " out of range");
-        else
-            v = static_cast<ArchMode>(x);
+        r.get(tag, v);
     }
-    void operator()(std::uint16_t tag, SchedPolicy &v)
+
+    /** A u32-encoded enum, rejected above @p hi. */
+    template <typename E>
+    void readEnum(std::uint16_t tag, const char *name, std::uint64_t hi,
+                  E &v)
     {
         std::uint32_t x;
         if (!r.get(tag, x))
             return;
-        if (x > static_cast<std::uint32_t>(SchedPolicy::GreedyThenOldest))
-            r.fail("SchedPolicy value " + std::to_string(x) +
+        if (x > hi)
+            r.fail(std::string(name) + " value " + std::to_string(x) +
                    " out of range");
         else
-            v = static_cast<SchedPolicy>(x);
+            v = static_cast<E>(x);
     }
-    void operator()(std::uint16_t tag, CodecId &v)
+
+    template <typename T>
+    void operator()(const ConfigField &f, T &v)
     {
-        std::uint32_t x;
-        if (!r.get(tag, x))
-            return;
-        if (x >= kNumCodecs)
-            r.fail("CodecId value " + std::to_string(x) +
-                   " out of range");
+        if constexpr (std::is_enum_v<T>)
+            readEnum(f.tag, f.name, f.hi, v);
         else
-            v = static_cast<CodecId>(x);
+            r.get(f.tag, v);
     }
 };
 
@@ -637,7 +575,7 @@ std::vector<std::uint8_t>
 serializeConfig(const ArchConfig &cfg)
 {
     ByteWriter w(BlobKind::Config);
-    visitConfig(cfg, FieldWriter{w});
+    forEachConfigField(cfg, FieldWriter{w});
     return w.finish();
 }
 
@@ -647,7 +585,7 @@ deserializeConfig(const std::uint8_t *data, std::size_t size,
 {
     ByteReader r(data, size, BlobKind::Config);
     ArchConfig cfg;
-    visitConfig(cfg, FieldReader{r});
+    forEachConfigField(cfg, FieldReader{r});
     if (!r.ok()) {
         if (error)
             *error = r.error();
@@ -675,7 +613,8 @@ deserializeResult(const std::uint8_t *data, std::size_t size,
     ByteReader r(data, size, BlobKind::Result);
     RunResult res;
     r.get(kResWorkload, res.workload);
-    FieldReader{r}(kResMode, res.mode);
+    FieldReader{r}.readEnum(kResMode, "mode", kArchModes.size() - 1,
+                            res.mode);
     r.get(kResWallSeconds, res.wallSeconds);
 
     const std::uint8_t *p = nullptr;

@@ -7,8 +7,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/arch_mode.hpp"
-#include "common/codec_id.hpp"
 #include "store/serial.hpp"
 #include "workloads/workload.hpp"
 
@@ -280,48 +278,6 @@ knobValueString(const JsonValue &v)
     }
 }
 
-std::string
-parseUnsigned(const std::string &value, unsigned lo, unsigned hi,
-              unsigned &out)
-{
-    const bool digits =
-        !value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos;
-    char *end = nullptr;
-    const unsigned long long v =
-        digits ? std::strtoull(value.c_str(), &end, 10) : 0;
-    if (!digits || !end || *end != '\0' || v < lo || v > hi)
-        return "'" + value + "' wants an integer in [" +
-               std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    out = unsigned(v);
-    return {};
-}
-
-std::string
-parseU64(const std::string &value, std::uint64_t &out)
-{
-    const bool digits =
-        !value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos;
-    char *end = nullptr;
-    const unsigned long long v =
-        digits ? std::strtoull(value.c_str(), &end, 10) : 0;
-    if (!digits || !end || *end != '\0')
-        return "'" + value + "' wants a non-negative integer";
-    out = v;
-    return {};
-}
-
-std::string
-parseBool(const std::string &value, bool &out)
-{
-    if (value == "true" || value == "false") {
-        out = value == "true";
-        return {};
-    }
-    return "'" + value + "' wants true or false";
-}
-
 bool
 validName(const std::string &s)
 {
@@ -340,61 +296,17 @@ std::string
 applySweepKnob(ArchConfig &cfg, std::string &workload,
                const std::string &knob, const std::string &value)
 {
-    auto prefix = [&](const std::string &why) {
-        return why.empty() ? why : "knob " + knob + ": " + why;
-    };
-
     if (knob == "workload") {
         if (!workloadResolvable(value))
             return "knob workload: unknown workload '" + value + "'";
         workload = value;
         return {};
     }
-    if (knob == "mode") {
-        for (const ArchMode m :
-             {ArchMode::Baseline, ArchMode::AluScalar,
-              ArchMode::WarpedCompression, ArchMode::GScalarCompressOnly,
-              ArchMode::GScalarNoDiv, ArchMode::GScalarFull}) {
-            if (value == archModeName(m)) {
-                cfg.mode = m;
-                return {};
-            }
-        }
-        return "knob mode: unknown mode '" + value + "'";
-    }
-    if (knob == "codec") {
-        const std::optional<CodecId> id = parseCodecId(value);
-        if (!id)
-            return "knob codec: unknown codec '" + value + "' (want " +
-                   codecIdList() + ")";
-        cfg.codec = *id;
-        return {};
-    }
-    if (knob == "warp")
-        return prefix(parseUnsigned(value, 1, 1024, cfg.warpSize));
-    if (knob == "sms")
-        return prefix(parseUnsigned(value, 1, 4096, cfg.numSms));
-    if (knob == "seed")
-        return prefix(parseU64(value, cfg.seed));
-    if (knob == "check-granularity")
-        return prefix(parseUnsigned(value, 1, 1024,
-                                    cfg.checkGranularity));
-    if (knob == "scalar-banks")
-        return prefix(parseUnsigned(value, 1, 64, cfg.scalarRfBanks));
-    if (knob == "half-reg")
-        return prefix(parseBool(value, cfg.halfRegisterCompression));
-    if (knob == "smov")
-        return prefix(parseBool(value, cfg.insertSpecialMoves));
-    if (knob == "compiler-smov")
-        return prefix(parseBool(value, cfg.compilerAssistedSmov));
-    if (knob == "scalar-occupancy")
-        return prefix(parseBool(value, cfg.scalarShortensOccupancy));
-    if (knob == "max-cycles")
-        return prefix(parseU64(value, cfg.maxCycles));
-    return "unknown sweep knob '" + knob +
-           "' (want workload, mode, codec, warp, sms, seed, "
-           "check-granularity, scalar-banks, half-reg, smov, "
-           "compiler-smov, scalar-occupancy or max-cycles)";
+    if (const std::optional<std::string> why =
+            applyConfigKnob(cfg, knob, value))
+        return why->empty() ? *why : "knob " + knob + ": " + *why;
+    return "unknown sweep knob '" + knob + "' (want workload, " +
+           configKnobList() + ")";
 }
 
 std::uint64_t

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/config.hpp"
 
 namespace gs
@@ -82,6 +87,45 @@ TEST(ConfigDeath, RejectsBadCacheGeometry)
     ArchConfig cfg;
     cfg.l1Bytes = 1000;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "L1");
+}
+
+TEST(ConfigCheck, RejectsOversizedCounts)
+{
+    // Sizes a hostile request could ask for: each would make a Gpu
+    // allocate per-SM state for billions of entries.
+    const std::vector<
+        std::pair<const char *, std::function<void(ArchConfig &)>>>
+        huge = {
+            {"numSms", [](ArchConfig &c) { c.numSms = 1'000'000'000; }},
+            {"numCollectors",
+             [](ArchConfig &c) { c.numCollectors = 1u << 31; }},
+            {"l1Bytes", [](ArchConfig &c) { c.l1Bytes = 1u << 31; }},
+            {"l2Bytes", [](ArchConfig &c) { c.l2Bytes = 1u << 31; }},
+            {"maxThreadsPerSm",
+             [](ArchConfig &c) { c.maxThreadsPerSm = 1u << 31; }},
+        };
+    for (const auto &[name, mutate] : huge) {
+        ArchConfig cfg;
+        mutate(cfg);
+        const std::string err = cfg.check();
+        EXPECT_NE(err.find(name), std::string::npos)
+            << name << ": " << err;
+    }
+}
+
+TEST(ConfigCheck, RejectsCacheGeometryThatCannotBeBuilt)
+{
+    // 2^31 x 2 wraps a 32-bit product to 0.
+    ArchConfig cfg;
+    cfg.lineBytes = 1u << 31;
+    cfg.l1Assoc = 2;
+    EXPECT_FALSE(cfg.check().empty());
+
+    // One 8-way set of 128 B lines split over 6 channels leaves each
+    // channel's L2 slice without a set.
+    cfg = ArchConfig{};
+    cfg.l2Bytes = 1024;
+    EXPECT_NE(cfg.check().find("L2"), std::string::npos);
 }
 
 } // namespace

@@ -87,6 +87,7 @@ TEST(Fingerprint, ChangesWhenAnyFieldChanges)
             {"coreClockGhz", [](ArchConfig &c) { c.coreClockGhz = 1.5; }},
             {"maxCycles", [](ArchConfig &c) { c.maxCycles += 1; }},
             {"seed", [](ArchConfig &c) { c.seed += 1; }},
+            {"codec", [](ArchConfig &c) { c.codec = CodecId::Bdi; }},
         };
 
     for (const auto &[name, mutate] : mutations) {

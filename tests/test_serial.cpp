@@ -227,6 +227,20 @@ TEST(Serial, OutOfRangeEnumIsRejected)
     EXPECT_FALSE(deserializeConfig(blob).has_value());
 }
 
+TEST(Serial, ConfigBytesAndFingerprintsArePinned)
+{
+    // Cache files and run keys hold these: the config field table must
+    // keep every tag, order and width.
+    EXPECT_EQ(ArchConfig{}.fingerprint(), 0x266d609013c3471dull);
+    ArchConfig gscalar;
+    gscalar.mode = ArchMode::GScalarFull;
+    EXPECT_EQ(gscalar.fingerprint(), 0x3d7d3d8d4da33db4ull);
+
+    const std::vector<std::uint8_t> blob = serializeConfig(ArchConfig{});
+    EXPECT_EQ(blob.size(), 307u);
+    EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x0caeb91defeadad8ull);
+}
+
 TEST(Serial, ChecksumIsFnv1a)
 {
     // Pin the trailer algorithm: FNV-1a with the standard offset basis,

@@ -443,3 +443,116 @@ TEST(GscalarServer, StatsSerializationSurvivesTheWire)
     EXPECT_FALSE(
         deserializeStatsResponse(bad.data(), bad.size()).has_value());
 }
+
+TEST(GscalarServer, OversizedConfigIsBadRequestAndServingGoesOn)
+{
+    TempSocket sock;
+    ExperimentEngine engine(1);
+    GscalarServer server(engine, optsFor(sock));
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    // Well framed and well formed, but 10^9 SMs: check() must refuse it
+    // before anything is allocated.
+    RunRequest huge;
+    huge.workload = "BT";
+    huge.cfg.numSms = 1'000'000'000;
+    GscalarClient client(sock.path);
+    const std::optional<RunResponse> resp = client.exchange(huge, &err);
+    ASSERT_TRUE(resp.has_value()) << err;
+    EXPECT_EQ(resp->status, ResponseStatus::BadRequest);
+    EXPECT_NE(resp->error.find("numSms"), std::string::npos)
+        << resp->error;
+
+    // Another connection is still served, simulation included.
+    ArchConfig small;
+    small.numSms = 1;
+    GscalarClient again(sock.path);
+    const std::optional<RunResult> served = again.run("LC", small, &err);
+    ASSERT_TRUE(served.has_value()) << err;
+    EXPECT_GT(served->ev.cycles, 0u);
+    server.stop();
+}
+
+namespace
+{
+
+/** parseServeFlags() over @p args (argv[0] excluded). */
+std::string
+parseFlags(std::vector<std::string> args, GscalarServer::Options &opts,
+           int *stoppedAt = nullptr)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    int i = 0;
+    const std::string err =
+        parseServeFlags(int(argv.size()), argv.data(), i, opts);
+    if (stoppedAt)
+        *stoppedAt = i;
+    return err;
+}
+
+} // namespace
+
+TEST(ServeFlags, AcceptsInRangeValues)
+{
+    GscalarServer::Options o;
+    EXPECT_EQ(parseFlags({"--socket", "/tmp/x.sock", "--timeout", "0",
+                          "--idle-timeout", "86400", "--max-connections",
+                          "4294967295", "--max-frame-bytes", "16777216",
+                          "--max-queued", "0", "--service-threads", "4096"},
+                         o),
+              "");
+    EXPECT_EQ(o.socketPath, "/tmp/x.sock");
+    EXPECT_EQ(o.requestTimeoutSec, 0.0);
+    EXPECT_EQ(o.idleTimeoutSec, 86400.0);
+    EXPECT_EQ(o.maxConnections, 4294967295u);
+    EXPECT_EQ(o.maxFrameBytes, kMaxFrameBytes);
+    EXPECT_EQ(o.maxQueuedFlights, 0u);
+    EXPECT_EQ(o.serviceThreads, 4096u);
+    EXPECT_EQ(parseFlags({"--timeout", "2.5"}, o), "");
+    EXPECT_EQ(o.requestTimeoutSec, 2.5);
+}
+
+TEST(ServeFlags, RejectsHostileValues)
+{
+    // Only the parser runs: no daemon starts, no thread is spawned.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"--timeout", "inf"},           {"--timeout", "nan"},
+        {"--timeout", "-1"},            {"--timeout", "86401"},
+        {"--timeout", "1e3"},           {"--timeout", ""},
+        {"--timeout", "0x10"},          {"--idle-timeout", "1e309"},
+        {"--idle-timeout", "abc"},      {"--max-connections", "-1"},
+        {"--max-connections", "4294967296"},
+        {"--max-frame-bytes", "0"},     {"--max-frame-bytes", "16777217"},
+        {"--max-queued", "x"},          {"--max-queued", "99999999999"},
+        {"--service-threads", "0"},     {"--service-threads", "4097"},
+        {"--service-threads", "99999999999"},
+        {"--tcp", "nohost"},
+    };
+    for (const auto &[flag, value] : bad) {
+        GscalarServer::Options o;
+        const std::string err = parseFlags({flag, value}, o);
+        EXPECT_NE(err.find(flag), std::string::npos)
+            << flag << " '" << value << "' accepted";
+    }
+    GscalarServer::Options o;
+    EXPECT_NE(parseFlags({"--max-queued"}, o).find("needs a value"),
+              std::string::npos);
+}
+
+TEST(ServeFlags, StopsAtTheFirstUnknownArgument)
+{
+    GscalarServer::Options o;
+    int at = -1;
+    // Process-wide flags and their values are stepped over.
+    EXPECT_EQ(parseFlags({"--jobs", "2", "--codec", "bdi", "--cache",
+                          "--max-queued", "7", "--fault=serve:stall:0",
+                          "--help", "--max-queued", "9"},
+                         o, &at),
+              "");
+    EXPECT_EQ(at, 8);
+    EXPECT_EQ(o.maxQueuedFlights, 7u);
+    EXPECT_EQ(o.serviceThreads, 0u);
+}

@@ -290,6 +290,10 @@ TEST(SweepManifest, KnobVocabularyAppliesAndValidates)
     EXPECT_FALSE(applySweepKnob(cfg, w, "codec", "bogus").empty());
     EXPECT_FALSE(applySweepKnob(cfg, w, "half-reg", "yes").empty());
     EXPECT_FALSE(applySweepKnob(cfg, w, "seed", "-1").empty());
+    EXPECT_FALSE(
+        applySweepKnob(cfg, w, "seed", "18446744073709551616").empty());
+    EXPECT_FALSE(applySweepKnob(cfg, w, "sms", "4294967297").empty());
+    EXPECT_FALSE(applySweepKnob(cfg, w, "sms", "4097").empty());
     EXPECT_NE(
         applySweepKnob(cfg, w, "nope", "1").find("unknown sweep knob"),
         std::string::npos);

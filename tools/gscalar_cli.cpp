@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
@@ -89,9 +90,10 @@ printUsage(std::ostream &os)
           "  GS_FAULT=site:kind:rate[:seed] (or --fault) injects\n"
           "  deterministic faults (see docs/RELIABILITY.md and\n"
           "  docs/PERFORMANCE.md).\n"
-          "modes: baseline alu-scalar warped-compression\n"
-          "       gscalar-compress gscalar-nodiv gscalar\n"
-          "experiments (see `gscalar bench --list`):";
+          "modes:";
+    for (const ArchMode m : kArchModes)
+        os << " " << archModeName(m);
+    os << "\nexperiments (see `gscalar bench --list`):";
     int col = 999;
     for (const Experiment &e : experiments()) {
         const int n = int(std::strlen(e.name)) + 1;
@@ -121,17 +123,15 @@ printCommandHelp(const Command &c, std::ostream &os)
     os << "\n\n" << c.help;
 }
 
-ArchMode
-parseMode(const std::string &s)
+/** Apply config knob @p knob from flag @p flag; a bad value is fatal. */
+void
+applyKnobFlag(ArchConfig &cfg, const std::string &flag,
+              std::string_view knob, const std::string &value)
 {
-    for (const ArchMode m :
-         {ArchMode::Baseline, ArchMode::AluScalar,
-          ArchMode::WarpedCompression, ArchMode::GScalarCompressOnly,
-          ArchMode::GScalarNoDiv, ArchMode::GScalarFull}) {
-        if (s == archModeName(m))
-            return m;
-    }
-    GS_FATAL("unknown mode '", s, "'");
+    if (const std::optional<std::string> why =
+            applyConfigKnob(cfg, knob, value);
+        why && !why->empty())
+        GS_FATAL("invalid ", flag, " value: ", *why);
 }
 
 struct Options
@@ -161,15 +161,12 @@ parseFlags(int argc, char **argv, int first, Options &opt)
                 GS_FATAL(what, " needs a value");
             return argv[++i];
         };
-        if (a == "--mode")
-            opt.cfg.mode = parseMode(need("--mode"));
-        else if (a == "--warp")
-            opt.cfg.warpSize = unsigned(std::stoul(need("--warp")));
-        else if (a == "--sms")
-            opt.cfg.numSms = unsigned(std::stoul(need("--sms")));
-        else if (a == "--seed")
-            opt.cfg.seed = std::stoull(need("--seed"));
-        else if (a == "--csv")
+        if (a == "--mode" || a == "--warp" || a == "--sms" ||
+            a == "--seed" || a == "--codec") {
+            applyKnobFlag(opt.cfg, a, a.substr(2), need(a.c_str()));
+            if (a == "--codec")
+                setDefaultCodecId(opt.cfg.codec);
+        } else if (a == "--csv")
             opt.csv = true;
         else if (a == "--json")
             opt.json = true;
@@ -189,28 +186,16 @@ parseFlags(int argc, char **argv, int first, Options &opt)
             opt.connect = v;
         } else if (a == "--priority") {
             const std::string v = need("--priority");
-            char *end = nullptr;
-            const unsigned long p = std::strtoul(v.c_str(), &end, 10);
-            if (v.empty() || !end || *end != '\0' ||
-                v.find_first_not_of("0123456789") != std::string::npos ||
-                p >= kNumPriorities)
+            const std::optional<std::uint64_t> p =
+                parseDecimal(v, 0, kNumPriorities - 1);
+            if (!p)
                 GS_FATAL("invalid --priority value '", v,
                          "' (want an integer in [0, ",
                          kNumPriorities - 1, "])");
-            opt.priority = std::uint32_t(p);
+            opt.priority = std::uint32_t(*p);
         } else if (a == "--cache")
             setDefaultCacheEnabled(true);
-        else if (a == "--codec") {
-            // GS_JOBS idiom: strict parse now, never a lazy failure
-            // at the first compressed write-back.
-            const std::string v = need("--codec");
-            const std::optional<CodecId> c = parseCodecId(v);
-            if (!c)
-                GS_FATAL("invalid --codec value '", v,
-                         "' (want one of ", codecIdList(), ")");
-            opt.cfg.codec = *c;
-            setDefaultCodecId(*c);
-        } else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
+        else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
             const std::string spec =
                 a == "--fault" ? need("--fault") : a.substr(8);
             std::string ferr;
@@ -229,6 +214,8 @@ parseFlags(int argc, char **argv, int first, Options &opt)
         } else
             GS_FATAL("unknown option '", a, "'");
     }
+    // Here, not in a worker thread, where a fatal exit aborts instead.
+    opt.cfg.validate();
 }
 
 /** Print the reliability counters to stderr when anything fired;
@@ -422,10 +409,16 @@ cmdTrace(int argc, char **argv)
     for (int i = 3; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--mode" && i + 1 < argc)
-            cfg.mode = parseMode(argv[++i]);
-        else if (a == "--lines" && i + 1 < argc)
-            lines = unsigned(std::stoul(argv[++i]));
-        else
+            applyKnobFlag(cfg, a, "mode", argv[++i]);
+        else if (a == "--lines" && i + 1 < argc) {
+            const std::string v = argv[++i];
+            const std::optional<std::uint64_t> n =
+                parseDecimal(v, 0, UINT32_MAX);
+            if (!n)
+                GS_FATAL("invalid --lines value '", v,
+                         "' (want an integer in [0, ", UINT32_MAX, "])");
+            lines = unsigned(*n);
+        } else
             GS_FATAL("unknown option '", a, "'");
     }
 
@@ -492,68 +485,14 @@ cmdExperiment(int argc, char **argv)
 int
 cmdServe(int argc, char **argv)
 {
+    initHarness(argc, argv); // --jobs/--codec/--cache/--fault
     GscalarServer::Options sopt;
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                GS_FATAL(what, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--socket")
-            sopt.socketPath = need("--socket");
-        else if (a == "--tcp") {
-            const std::string v = need("--tcp");
-            std::string why;
-            if (!parseConnectTarget(v, &why, /*allowPortZero=*/true))
-                GS_FATAL("invalid --tcp value: ", why);
-            sopt.tcpBind = v;
-        } else if (a == "--timeout")
-            sopt.requestTimeoutSec = std::stod(need("--timeout"));
-        else if (a == "--idle-timeout")
-            sopt.idleTimeoutSec = std::stod(need("--idle-timeout"));
-        else if (a == "--max-connections")
-            sopt.maxConnections =
-                std::uint32_t(std::stoul(need("--max-connections")));
-        else if (a == "--max-frame-bytes")
-            sopt.maxFrameBytes =
-                std::uint32_t(std::stoul(need("--max-frame-bytes")));
-        else if (a == "--max-queued")
-            sopt.maxQueuedFlights =
-                std::uint32_t(std::stoul(need("--max-queued")));
-        else if (a == "--service-threads")
-            sopt.serviceThreads =
-                unsigned(std::stoul(need("--service-threads")));
-        else if (a == "--cache")
-            setDefaultCacheEnabled(true);
-        else if (a == "--codec") {
-            // Daemon-side default for runs whose request predates the
-            // codec field; validated at startup, never at admission.
-            const std::string v = need("--codec");
-            const std::optional<CodecId> c = parseCodecId(v);
-            if (!c)
-                GS_FATAL("invalid --codec value '", v,
-                         "' (want one of ", codecIdList(), ")");
-            setDefaultCodecId(*c);
-        } else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
-            const std::string spec =
-                a == "--fault" ? need("--fault") : a.substr(8);
-            std::string ferr;
-            if (!faultInjector().configure(spec, &ferr))
-                GS_FATAL("--fault='", spec, "': ", ferr);
-        } else if (a == "--jobs" || a == "-j") {
-            const std::string v = need("--jobs");
-            const std::optional<unsigned> jobs = parseJobsValue(v);
-            if (!jobs)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setDefaultJobs(*jobs);
-        } else if (a == "--sim-threads") {
-            need("--sim-threads");
-            ignoreSimThreads(true);
-        } else
-            GS_FATAL("unknown option '", a, "'");
-    }
+    int i = 2;
+    if (const std::string err = parseServeFlags(argc, argv, i, sopt);
+        !err.empty())
+        GS_FATAL(err);
+    if (i < argc)
+        GS_FATAL("unknown option '", argv[i], "'");
 
     GscalarServer server(defaultEngine(), sopt);
     std::string err;
@@ -794,8 +733,12 @@ cmdFuzz(int argc, char **argv)
             std::istringstream in(need("--modes"));
             std::string name;
             while (std::getline(in, name, ','))
-                if (!name.empty())
-                    opt.diff.modes.push_back(parseMode(name));
+                if (!name.empty()) {
+                    const std::optional<ArchMode> m = parseArchMode(name);
+                    if (!m)
+                        GS_FATAL("unknown mode '", name, "'");
+                    opt.diff.modes.push_back(*m);
+                }
             if (opt.diff.modes.empty())
                 GS_FATAL("--modes wants a comma-separated mode list");
         } else if (a == "--replay") {
@@ -853,15 +796,11 @@ cmdSweep(int argc, char **argv)
     auto parseUint = [](const std::string &v, const char *what,
                         std::uint64_t lo,
                         std::uint64_t hi) -> std::uint64_t {
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-        if (v.empty() || !end || *end != '\0' || errno != 0 ||
-            v.find_first_not_of("0123456789") != std::string::npos ||
-            n < lo || n > hi)
+        const std::optional<std::uint64_t> n = parseDecimal(v, lo, hi);
+        if (!n)
             GS_FATAL("invalid ", what, " value '", v,
                      "' (want an integer in [", lo, ", ", hi, "])");
-        return n;
+        return *n;
     };
     for (int i = 2; i < argc; ++i) {
         const std::string a = argv[i];
@@ -1036,7 +975,7 @@ commands()
          "  --timeout SEC          per-request engine budget\n"
          "                         (default 600)\n"
          "  --idle-timeout SEC     close connections idle this long\n"
-         "                         (default 300; <= 0 disables)\n"
+         "                         (default 300; 0 disables)\n"
          "  --max-connections N    shed further connections with an\n"
          "                         `overloaded` response (default 64;\n"
          "                         0 = unlimited)\n"

@@ -11,15 +11,10 @@
  *            [--cache] [--fault SPEC]
  */
 
-#include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "common/codec_id.hpp"
 #include "common/log.hpp"
-#include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "gen/generator.hpp"
 #include "harness/engine.hpp"
@@ -62,9 +57,9 @@ printUsage(std::ostream &os)
         "  --tcp HOST:PORT      additionally listen on TCP (port 0\n"
         "                       binds an ephemeral port)\n"
         "  --timeout SEC        per-request engine budget (default\n"
-        "                       600)\n"
+        "                       600; 0 disables; at most 86400)\n"
         "  --idle-timeout SEC   close connections idle this long\n"
-        "                       (default 300; <= 0 disables)\n"
+        "                       (default 300; 0 disables)\n"
         "  --max-connections N  shed further connections with an\n"
         "                       `overloaded` response (default 64;\n"
         "                       0 = unlimited)\n"
@@ -74,7 +69,8 @@ printUsage(std::ostream &os)
         "                       (default 256; 0 = unbounded); overflow\n"
         "                       sheds the lowest priority band first\n"
         "  --service-threads N  threads bridging flights onto the\n"
-        "                       engine (default: workers + 2)\n"
+        "                       engine (default: workers + 2;\n"
+        "                       at most 4096)\n"
         "  --fault SPEC         inject deterministic faults\n"
         "                       (site:kind:rate[:seed], comma-\n"
         "                       separated; same as $GS_FAULT)\n"
@@ -91,76 +87,25 @@ printUsage(std::ostream &os)
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
+    initHarness(argc, argv); // --jobs/--codec/--cache/--fault
     GscalarServer::Options sopt;
-    for (int i = 1; i < argc; ++i) {
+    int i = 1;
+    if (const std::string err = parseServeFlags(argc, argv, i, sopt);
+        !err.empty())
+        GS_FATAL(err);
+    if (i < argc) {
         const std::string a = argv[i];
-        auto need = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                GS_FATAL(what, " needs a value");
-            return argv[++i];
-        };
         if (a == "--help" || a == "-h") {
             printUsage(std::cout);
             return 0;
-        } else if (a == "--version" || a == "-V") {
+        }
+        if (a == "--version" || a == "-V") {
             std::cout << "gscalard " << GS_VERSION << "\n";
             return 0;
-        } else if (a == "--socket")
-            sopt.socketPath = need("--socket");
-        else if (a == "--tcp") {
-            const std::string v = need("--tcp");
-            std::string why;
-            if (!parseConnectTarget(v, &why, /*allowPortZero=*/true))
-                GS_FATAL("invalid --tcp value: ", why);
-            sopt.tcpBind = v;
-        } else if (a == "--timeout")
-            sopt.requestTimeoutSec = std::stod(need("--timeout"));
-        else if (a == "--idle-timeout")
-            sopt.idleTimeoutSec = std::stod(need("--idle-timeout"));
-        else if (a == "--max-connections")
-            sopt.maxConnections =
-                std::uint32_t(std::stoul(need("--max-connections")));
-        else if (a == "--max-frame-bytes")
-            sopt.maxFrameBytes =
-                std::uint32_t(std::stoul(need("--max-frame-bytes")));
-        else if (a == "--max-queued")
-            sopt.maxQueuedFlights =
-                std::uint32_t(std::stoul(need("--max-queued")));
-        else if (a == "--service-threads")
-            sopt.serviceThreads =
-                unsigned(std::stoul(need("--service-threads")));
-        else if (a == "--cache")
-            setDefaultCacheEnabled(true);
-        else if (a == "--codec") {
-            const std::string v = need("--codec");
-            const std::optional<CodecId> c = parseCodecId(v);
-            if (!c)
-                GS_FATAL("invalid --codec value '", v,
-                         "' (want one of ", codecIdList(), ")");
-            setDefaultCodecId(*c);
-        } else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
-            const std::string spec =
-                a == "--fault" ? need("--fault") : a.substr(8);
-            std::string ferr;
-            if (!faultInjector().configure(spec, &ferr))
-                GS_FATAL("--fault='", spec, "': ", ferr);
-        } else if (a == "--jobs" || a == "-j") {
-            const std::string v = need("--jobs");
-            const std::optional<unsigned> jobs = parseJobsValue(v);
-            if (!jobs)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setDefaultJobs(*jobs);
-        } else if (a == "--sim-threads") {
-            need("--sim-threads");
-            ignoreSimThreads(true);
-        } else {
-            printUsage(std::cerr);
-            return 2;
         }
+        printUsage(std::cerr);
+        return 2;
     }
-    checkStartupEnv();
     // "gen:..." workload names resolve in the standalone daemon just
     // as they do in `gscalar serve`.
     registerGenWorkloads();
