@@ -224,10 +224,8 @@ main(int argc, char **argv)
             if (!f)
                 GS_FATAL("unknown --format '", a.substr(9), "'");
             format = *f;
-        } else if (a == "--jobs" || a == "-j" || a == "--fault") {
-            ++i; // value consumed by initHarness
-        } else if (a == "--cache" || a.rfind("--fault=", 0) == 0) {
-            // consumed by initHarness
+        } else if (const std::optional<int> n = processFlagValues(a)) {
+            i += *n; // consumed by initHarness
         } else {
             GS_FATAL("unknown option '", a,
                      "' (perf_sim_core [--json|--format=F])");

@@ -73,7 +73,23 @@ ArchConfig::check() const
                                 ", ", f.hi, "]");
         }
     });
-    return err;
+    if (!err.empty())
+        return err;
+
+    // The bounded fields keep these products far from 64-bit overflow.
+    const std::uint64_t warpSlots =
+        std::uint64_t(numSms) * (maxThreadsPerSm / warpSize);
+    if (warpSlots > kMaxGpuWarpSlots)
+        return formatMsg("numSms x warp slots per SM = ", warpSlots,
+                         " exceeds the per-request budget of ",
+                         kMaxGpuWarpSlots);
+    const std::uint64_t lines =
+        std::uint64_t(numSms) * (l1Bytes / lineBytes) + l2Bytes / lineBytes;
+    if (lines > kMaxGpuCacheLines)
+        return formatMsg("numSms x L1 lines + L2 lines = ", lines,
+                         " exceeds the per-request budget of ",
+                         kMaxGpuCacheLines);
+    return {};
 }
 
 void

@@ -138,6 +138,12 @@ struct ArchConfig
         return (warpSize + width - 1) / width;
     }
 
+    /** check()'s per-request state budget: numSms x warp slots per SM
+     *  (maxThreadsPerSm / warpSize), and numSms x L1 lines + L2 lines.
+     *  Table 1 at 4096 SMs fits both. */
+    static constexpr std::uint64_t kMaxGpuWarpSlots = 1u << 18;
+    static constexpr std::uint64_t kMaxGpuCacheLines = 1u << 21;
+
     /**
      * First internal-consistency error, or an empty string when the
      * configuration is valid. Non-fatal form of validate() for callers

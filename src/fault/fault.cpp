@@ -31,7 +31,6 @@ constexpr KindName kKindNames[] = {
     {FaultKind::Throw, "throw"},
     {FaultKind::Slow, "slow"},
     {FaultKind::Miscompare, "miscompare"},
-    {FaultKind::CoalesceLeaderCrash, "coalesce-leader-crash"},
     {FaultKind::EpollSpurious, "epoll-spurious"},
     {FaultKind::StuckArray, "stuck-array"},
     {FaultKind::JournalTornWrite, "journal-torn-write"},

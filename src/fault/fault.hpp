@@ -23,7 +23,7 @@
  *
  *   store    short-write, rename-fail, bit-flip   (store/run_cache.cpp)
  *   serve    conn-reset, short-read, eintr, stall (serve/protocol.cpp)
- *   serve    coalesce-leader-crash, epoll-spurious (serve/server.cpp)
+ *   serve    epoll-spurious                       (serve/server.cpp)
  *   engine   throw, slow                          (harness/engine.cpp)
  *   gen      miscompare                           (gen/diff.cpp)
  *   rf       stuck-array                          (sim/sm.cpp)
@@ -70,8 +70,9 @@ enum class FaultKind : std::uint8_t
     Throw,      ///< engine: the simulation throws
     Slow,       ///< engine: the simulation takes extra wall clock
     Miscompare, ///< gen: corrupt a differential comparison
-    CoalesceLeaderCrash, ///< serve: a coalesced flight's leader dies
-    EpollSpurious,       ///< serve: epoll_wait reports a phantom wakeup
+    // 10 is retired. The values feed the firing hash, so the kinds
+    // after it keep their numbers.
+    EpollSpurious = 11,  ///< serve: epoll_wait reports a phantom wakeup
     StuckArray,          ///< rf: an RF SRAM array is permanently stuck
     JournalTornWrite, ///< sweep: a journal append persists only a prefix
     JournalBitFlip,   ///< sweep: one journal record bit flips on disk

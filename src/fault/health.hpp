@@ -47,8 +47,6 @@ namespace gs
       "connections shed with Overloaded at the connection cap")              \
     X(daemonQueueSheds, "daemon_queue_sheds", "events",                      \
       "queued requests shed with Overloaded by priority admission")          \
-    X(coalescePromotions, "coalesce_promotions", "events",                   \
-      "coalesced flights whose crashed leader was replaced")                 \
     X(daemonFrameRejects, "daemon_frame_rejects", "events",                  \
       "frames rejected by the max-frame-size guard")                         \
     X(cachePublishFailures, "cache_publish_failures", "events",              \

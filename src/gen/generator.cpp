@@ -569,16 +569,16 @@ registerGenWorkloads()
 {
     static const bool once = [] {
         registerWorkloadResolver(
-            [](const std::string &name) -> std::optional<Workload> {
-                if (name.rfind("gen:", 0) != 0)
-                    return std::nullopt;
-                std::string error;
-                const std::optional<GenSpec> spec =
-                    parseGenSpec(name, &error);
-                if (!spec)
-                    GS_FATAL("workload '", name, "': ", error);
-                return makeGenWorkload(*spec);
-            });
+            {[](const std::string &name) -> std::optional<std::string> {
+                 if (name.rfind("gen:", 0) != 0)
+                     return std::nullopt;
+                 std::string error;
+                 parseGenSpec(name, &error);
+                 return error;
+             },
+             [](const std::string &name) {
+                 return makeGenWorkload(*parseGenSpec(name));
+             }});
         return true;
     }();
     (void)once;

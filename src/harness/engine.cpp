@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
+#include "sim/gpu.hpp"
 
 namespace gs
 {
@@ -41,45 +42,88 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::submit(std::function<void()> fn)
+WorkerPool::submit(std::function<void()> fn, std::uint32_t band,
+                   std::shared_ptr<void> tag)
 {
+    GS_ASSERT(band < kNumPriorities, "band ", band, " out of range");
     {
         std::lock_guard<std::mutex> lock(mutex_);
         GS_ASSERT(!stop_, "submit() on a stopped worker pool");
-        queue_.push_back(std::move(fn));
-        peakDepth_ = std::max(peakDepth_, queue_.size());
+        queue_[band].push_back(Task{std::move(fn), std::move(tag)});
+        depths_.bandPeaks[band] =
+            std::max(depths_.bandPeaks[band], queue_[band].size());
+        depths_.peak = std::max(depths_.peak, ++depths_.total);
     }
     cv_.notify_one();
 }
 
-std::size_t
-WorkerPool::queueDepth() const
+void
+WorkerPool::raise(const void *tag, std::uint32_t band)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
+    for (std::uint32_t from = 0; from < band; ++from) {
+        auto &q = queue_[from];
+        const auto it = std::find_if(q.begin(), q.end(), [tag](const Task &t) {
+            return t.tag.get() == tag;
+        });
+        if (it != q.end()) {
+            queue_[band].push_back(std::move(*it));
+            q.erase(it);
+            depths_.bandPeaks[band] =
+                std::max(depths_.bandPeaks[band], queue_[band].size());
+            return;
+        }
+    }
 }
 
-std::size_t
-WorkerPool::peakQueueDepth() const
+std::shared_ptr<void>
+WorkerPool::evictBelow(std::uint32_t band)
+{
+    Task victim; // destroyed after the lock is released
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::uint32_t b = 0; b < band; ++b) {
+            if (!queue_[b].empty()) {
+                victim = std::move(queue_[b].back());
+                queue_[b].pop_back();
+                --depths_.total;
+                break;
+            }
+        }
+    }
+    return std::move(victim.tag);
+}
+
+WorkerPool::Depths
+WorkerPool::depths() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return peakDepth_;
+    Depths d = depths_;
+    for (std::size_t b = 0; b < kNumPriorities; ++b)
+        d.bands[b] = queue_[b].size();
+    return d;
 }
 
 void
 WorkerPool::workerLoop()
 {
     for (;;) {
-        std::function<void()> task;
+        Task task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
+            cv_.wait(lock, [this] { return stop_ || depths_.total > 0; });
+            if (depths_.total == 0)
                 return; // stop_ and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
+            for (std::uint32_t b = kNumPriorities; b-- > 0;) {
+                if (!queue_[b].empty()) {
+                    task = std::move(queue_[b].front());
+                    queue_[b].pop_front();
+                    --depths_.total;
+                    break;
+                }
+            }
         }
-        task();
+        task.fn();
     }
 }
 
@@ -111,6 +155,19 @@ cacheKey(const std::string &abbr, const ArchConfig &cfg)
 
 } // namespace
 
+struct ExperimentEngine::Run
+{
+    std::string key;
+    std::string name;
+    ArchConfig cfg;
+    std::optional<Workload> prebuilt; ///< empty: build by name
+    std::uint32_t band = kDefaultPriority;
+    std::promise<RunResult> promise;
+    std::shared_future<RunResult> future = promise.get_future().share();
+    std::vector<RunCallback> waiters; ///< callbacks joined in flight
+    bool done = false; ///< result published; guarded by mutex_
+};
+
 ExperimentEngine::ExperimentEngine(unsigned jobs) : pool_(jobs)
 {
     // GS_VERBOSE: emit one timing line per completed run. The lines go
@@ -120,44 +177,112 @@ ExperimentEngine::ExperimentEngine(unsigned jobs) : pool_(jobs)
     verbose_ = v && *v && std::string(v) != "0";
 }
 
-std::shared_future<RunResult>
-ExperimentEngine::submit(const Workload &w, const ArchConfig &cfg)
+Admission
+ExperimentEngine::admit(const std::string &name, const ArchConfig &cfg,
+                        const Workload *prebuilt,
+                        std::uint32_t band, std::size_t maxQueued,
+                        RunCallback done, std::shared_ptr<Run> *out)
 {
-    const std::string key = cacheKey(w.name, cfg);
-
-    std::shared_ptr<std::promise<RunResult>> promise;
-    std::shared_future<RunResult> future;
+    const std::string key = cacheKey(name, cfg);
+    // Last rung of the degradation ladder: after kDegradeThreshold
+    // consecutive failures a blocking caller runs a new key inline —
+    // slower, but a suite still completes. Asynchronous callers never.
+    const bool runInline = out && degraded();
+    std::shared_ptr<Run> run, shed;
+    Admission how = Admission::Started;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
+        if (const auto it = cache_.find(key); it != cache_.end()) {
+            run = it->second;
             ++stats_.hits;
-            return it->second;
+            how = run->done ? Admission::Cached : Admission::Joined;
+            if (!run->done && done)
+                run->waiters.push_back(std::move(done));
+            if (!run->done && band > run->band) {
+                // Priority inheritance: a higher-band joiner must not
+                // wait behind the run's lower band.
+                run->band = band;
+                pool_.raise(run.get(), band);
+            }
+        } else {
+            if (maxQueued > 0 && pool_.depths().total >= maxQueued) {
+                shed = std::static_pointer_cast<Run>(pool_.evictBelow(band));
+                if (!shed)
+                    return Admission::Refused;
+                // An evicted run never ran: it is no computation.
+                if (const auto it = cache_.find(shed->key);
+                    it != cache_.end() && it->second == shed)
+                    cache_.erase(it);
+                --stats_.misses;
+            }
+            ++stats_.misses;
+            run = std::make_shared<Run>();
+            run->key = key;
+            run->name = name;
+            run->cfg = cfg;
+            if (prebuilt)
+                run->prebuilt = *prebuilt;
+            run->band = band;
+            if (done)
+                run->waiters.push_back(std::move(done));
+            cache_.emplace(key, run);
+            // Queued under mutex_, so a concurrent join's raise()
+            // finds it.
+            if (!runInline)
+                pool_.submit([this, run] { executeRun(*run); }, band, run);
         }
-        ++stats_.misses;
-
-        promise = std::make_shared<std::promise<RunResult>>();
-        future = promise->get_future().share();
-        cache_.emplace(key, future);
     }
 
-    if (degraded()) {
-        // Last rung of the degradation ladder: the pool has produced
-        // kDegradeThreshold consecutive failures, so run inline on the
-        // caller thread — slower, but a suite still completes.
+    if (shed) {
+        RunResult r;
+        r.workload = shed->name;
+        r.mode = shed->cfg.mode;
+        r.error = "run shed from the queue by a higher-priority arrival";
+        shed->promise.set_value(std::move(r));
+        for (RunCallback &cb : shed->waiters)
+            cb(nullptr);
+    }
+    if (how == Admission::Cached && done)
+        done(&run->future.get());
+    if (how == Admission::Started && runInline) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.serialFallbacks;
         }
         healthCounters().serialFallbacks.fetch_add(
             1, std::memory_order_relaxed);
-        executeRun(w, cfg, promise);
-    } else {
-        pool_.submit([this, promise, w, cfg] {
-            executeRun(w, cfg, promise);
-        });
+        executeRun(*run);
     }
-    return future;
+    if (out)
+        *out = std::move(run);
+    return how;
+}
+
+std::shared_future<RunResult>
+ExperimentEngine::submit(const Workload &w, const ArchConfig &cfg)
+{
+    std::shared_ptr<Run> run;
+    admit(w.name, cfg, &w, kDefaultPriority, 0, nullptr, &run);
+    return run->future;
+}
+
+std::shared_future<RunResult>
+ExperimentEngine::submit(const std::string &abbr, const ArchConfig &cfg)
+{
+    if (std::string why; !workloadResolvable(abbr, &why))
+        GS_FATAL(why);
+    std::shared_ptr<Run> run;
+    admit(abbr, cfg, nullptr, kDefaultPriority, 0, nullptr, &run);
+    return run->future;
+}
+
+Admission
+ExperimentEngine::submitAsync(const std::string &abbr,
+                              const ArchConfig &cfg, std::uint32_t band,
+                              std::size_t maxQueued, RunCallback done)
+{
+    return admit(abbr, cfg, nullptr, band, maxQueued, std::move(done),
+                 nullptr);
 }
 
 RunResult
@@ -172,18 +297,32 @@ ExperimentEngine::simulateOnce(const Workload &w, const ArchConfig &cfg)
 }
 
 void
-ExperimentEngine::executeRun(
-    const Workload &w, const ArchConfig &cfg,
-    const std::shared_ptr<std::promise<RunResult>> &promise)
+ExperimentEngine::finish(Run &run, RunResult r)
 {
+    run.promise.set_value(std::move(r));
+    std::vector<RunCallback> waiters;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        run.done = true;
+        waiters.swap(run.waiters);
+    }
+    const RunResult &shared = run.future.get();
+    for (RunCallback &cb : waiters)
+        cb(&shared);
+}
+
+void
+ExperimentEngine::executeRun(Run &run)
+{
+    const ArchConfig &cfg = run.cfg;
     // The persistent cache is consulted on the worker, off the submit
-    // path; a hit skips the simulation entirely and returns the stored
-    // counters bit-for-bit.
+    // path; a hit skips the build and the simulation entirely and
+    // returns the stored counters bit-for-bit.
     if (disk_) {
         std::optional<RunResult> r;
         {
             ScopedPhase phase(phases_, "disk-cache-load");
-            r = disk_->load(w.name, cfg);
+            r = disk_->load(run.name, cfg);
         }
         if (r) {
             {
@@ -191,38 +330,52 @@ ExperimentEngine::executeRun(
                 ++stats_.diskHits;
             }
             if (verbose_)
-                noteRun(w.name, cfg, r->wallSeconds, "disk-cache");
-            promise->set_value(std::move(*r));
+                noteRun(run.name, cfg, r->wallSeconds, "disk-cache");
+            finish(run, std::move(*r));
             return;
         }
     }
 
-    auto attempt = [&](std::string *err) -> std::optional<RunResult> {
+    std::string err;
+    std::optional<Workload> built;
+    const Workload *w = run.prebuilt ? &*run.prebuilt : nullptr;
+    // Retrying cannot help an unknown name or a launch the config
+    // cannot host: each fails the same way every time.
+    bool deterministic = !w && !workloadResolvable(run.name, &err);
+    auto attempt = [&]() -> std::optional<RunResult> {
         try {
-            return simulateOnce(w, cfg);
+            if (!w) {
+                built = makeWorkload(run.name);
+                w = &*built;
+            }
+            return simulateOnce(*w, cfg);
+        } catch (const LaunchDoesNotFit &e) {
+            err = e.what();
+            deterministic = true;
         } catch (const std::exception &e) {
-            *err = e.what();
+            err = e.what();
         } catch (...) {
-            *err = "unknown exception";
+            err = "unknown exception";
         }
         return std::nullopt;
     };
 
-    std::string err;
-    std::optional<RunResult> r = attempt(&err);
-    if (!r) {
+    std::optional<RunResult> r;
+    if (!deterministic)
+        r = attempt();
+    if (!r && !deterministic) {
         {
             std::lock_guard<std::mutex> statsLock(mutex_);
             ++stats_.runRetries;
         }
         healthCounters().runRetries.fetch_add(1,
                                               std::memory_order_relaxed);
-        GS_WARN("run ", w.name, " failed (", err, "); retrying once");
+        GS_WARN("run ", run.name, " failed (", err, "); retrying once");
         // Injected faults are transient by contract: the retry runs
         // exempt from injection so a single armed fault class is
         // absorbed deterministically. Real faults may well recur.
         FaultInjector::Suppress guard;
-        r = attempt(&err);
+        r = attempt();
     }
 
     if (!r) {
@@ -234,19 +387,24 @@ ExperimentEngine::executeRun(
         }
         healthCounters().runFailures.fetch_add(1,
                                                std::memory_order_relaxed);
-        const unsigned fails =
-            consecutiveFailures_.fetch_add(1, std::memory_order_relaxed) +
-            1;
-        if (fails >= kDegradeThreshold &&
-            !degraded_.exchange(true, std::memory_order_relaxed))
-            GS_WARN("degrading to serial execution after ", fails,
-                    " consecutive run failures");
-        GS_WARN("run ", w.name, " failed after retry: ", err);
+        // A deterministic failure says nothing about the pool's health.
+        if (!deterministic) {
+            const unsigned fails =
+                consecutiveFailures_.fetch_add(
+                    1, std::memory_order_relaxed) +
+                1;
+            if (fails >= kDegradeThreshold &&
+                !degraded_.exchange(true, std::memory_order_relaxed))
+                GS_WARN("degrading to serial execution after ", fails,
+                        " consecutive run failures");
+        }
+        GS_WARN("run ", run.name, " failed",
+                deterministic ? ": " : " after retry: ", err);
         RunResult failed;
-        failed.workload = w.name;
+        failed.workload = run.name;
         failed.mode = cfg.mode;
         failed.error = err;
-        promise->set_value(std::move(failed));
+        finish(run, std::move(failed));
         return;
     }
     consecutiveFailures_.store(0, std::memory_order_relaxed);
@@ -254,7 +412,7 @@ ExperimentEngine::executeRun(
     bool stored = false;
     if (disk_) {
         ScopedPhase phase(phases_, "disk-cache-store");
-        stored = disk_->store(w.name, cfg, *r);
+        stored = disk_->store(run.name, cfg, *r);
     }
     {
         std::lock_guard<std::mutex> statsLock(mutex_);
@@ -265,14 +423,8 @@ ExperimentEngine::executeRun(
         warpInsts_ += r->ev.warpInsts;
     }
     if (verbose_)
-        noteRun(w.name, cfg, r->wallSeconds, "simulate");
-    promise->set_value(std::move(*r));
-}
-
-std::shared_future<RunResult>
-ExperimentEngine::submit(const std::string &abbr, const ArchConfig &cfg)
-{
-    return submit(makeWorkload(abbr), cfg);
+        noteRun(run.name, cfg, r->wallSeconds, "simulate");
+    finish(run, std::move(*r));
 }
 
 RunResult
@@ -328,8 +480,11 @@ ExperimentEngine::snapshot() const
 {
     EngineSnapshot s;
     s.jobs = pool_.jobs();
-    s.queueDepth = pool_.queueDepth();
-    s.peakQueueDepth = pool_.peakQueueDepth();
+    const WorkerPool::Depths q = pool_.depths();
+    s.queueDepth = q.total;
+    s.peakQueueDepth = q.peak;
+    s.bandDepths = q.bands;
+    s.bandPeaks = q.bandPeaks;
     s.degraded = degraded();
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -349,8 +504,8 @@ ExperimentEngine::clearCache()
     std::vector<std::shared_future<RunResult>> pending;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &[key, future] : cache_)
-            pending.push_back(future);
+        for (auto &[key, run] : cache_)
+            pending.push_back(run->future);
     }
     for (auto &f : pending)
         f.wait();
@@ -474,44 +629,52 @@ checkStartupEnv()
     defaultCodecId();
 }
 
+std::optional<int>
+processFlagValues(std::string_view arg)
+{
+    if (arg == "--cache" || arg.starts_with("--fault="))
+        return 0;
+    if (arg == "--jobs" || arg == "-j" || arg == "--codec" ||
+        arg == "--fault" || arg == "--sim-threads")
+        return 1;
+    return std::nullopt;
+}
+
 void
 initHarness(int argc, char **argv)
 {
     setQuiet(true);
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        const std::optional<int> n = processFlagValues(a);
+        if (!n)
+            continue;
+        if (i + *n >= argc) {
+            if (a == "--codec")
+                GS_FATAL("--codec needs a value (", codecIdList(), ")");
+            if (a == "--fault")
+                GS_FATAL("--fault needs site:kind:rate[:seed]");
+            GS_FATAL(a, " needs a value");
+        }
+        const std::string v = *n ? argv[++i] : "";
         if (a == "--jobs" || a == "-j") {
-            if (i + 1 >= argc)
-                GS_FATAL(a, " needs a value");
-            const std::optional<unsigned> v = parseJobsValue(argv[++i]);
-            if (!v)
-                GS_FATAL(a, " wants an integer in [1, 4096], got '",
-                         argv[i], "'");
-            setDefaultJobs(*v);
+            const std::optional<unsigned> jobs = parseJobsValue(v);
+            if (!jobs)
+                GS_FATAL(a, " wants an integer in [1, 4096], got '", v,
+                         "'");
+            setDefaultJobs(*jobs);
         } else if (a == "--sim-threads") {
-            if (i + 1 >= argc)
-                GS_FATAL(a, " needs a value");
-            ++i;
             ignoreSimThreads(true);
         } else if (a == "--codec") {
-            if (i + 1 >= argc)
-                GS_FATAL("--codec needs a value (", codecIdList(), ")");
-            const std::optional<CodecId> c = parseCodecId(argv[++i]);
+            const std::optional<CodecId> c = parseCodecId(v);
             if (!c)
                 GS_FATAL("--codec wants one of ", codecIdList(),
-                         ", got '", argv[i], "'");
+                         ", got '", v, "'");
             setDefaultCodecId(*c);
         } else if (a == "--cache") {
             setDefaultCacheEnabled(true);
-        } else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
-            std::string spec;
-            if (a == "--fault") {
-                if (i + 1 >= argc)
-                    GS_FATAL("--fault needs site:kind:rate[:seed]");
-                spec = argv[++i];
-            } else {
-                spec = a.substr(8);
-            }
+        } else {
+            const std::string spec = *n ? v : a.substr(8);
             std::string err;
             if (!faultInjector().configure(spec, &err))
                 GS_FATAL("--fault='", spec, "': ", err);

@@ -13,6 +13,7 @@
 #ifndef GSCALAR_HARNESS_ENGINE_HPP
 #define GSCALAR_HARNESS_ENGINE_HPP
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -35,10 +37,18 @@
 namespace gs
 {
 
+/** Priority bands of the engine's run queue; the highest pops first. */
+inline constexpr std::uint32_t kNumPriorities = 3;
+
+/** Band of in-process callers and of requests that name none. */
+inline constexpr std::uint32_t kDefaultPriority = 1;
+
 /**
  * Fixed-size worker pool: a task queue drained by `jobs` std::threads.
- * Tasks are plain closures; ordering across tasks is unspecified, so
- * anything submitted must be independent (each simulation is).
+ * The queue has kNumPriorities bands; the highest non-empty band pops
+ * first and each band is FIFO. Tasks are plain closures; ordering
+ * across tasks is unspecified, so anything submitted must be
+ * independent (each simulation is).
  */
 class WorkerPool
 {
@@ -52,17 +62,31 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Enqueue @p fn for execution on some worker. */
-    void submit(std::function<void()> fn);
+    /** Enqueue @p fn at the back of @p band; a non-null @p tag names
+     *  the task for raise() and evictBelow(). */
+    void submit(std::function<void()> fn,
+                std::uint32_t band = kDefaultPriority,
+                std::shared_ptr<void> tag = nullptr);
+
+    /** Move the task tagged @p tag to the back of @p band if it still
+     *  waits in a lower one. */
+    void raise(const void *tag, std::uint32_t band);
+
+    /** Drop the newest task of the lowest non-empty band below @p band
+     *  and return its tag; nullptr when those bands are empty. */
+    std::shared_ptr<void> evictBelow(std::uint32_t band);
 
     /** Number of worker threads. */
     unsigned jobs() const { return unsigned(threads_.size()); }
 
-    /** Tasks currently queued (not yet picked up by a worker). */
-    std::size_t queueDepth() const;
-
-    /** Highest queue depth observed since construction. */
-    std::size_t peakQueueDepth() const;
+    /** Tasks queued (not yet picked up), in total and per band, and
+     *  the peaks of both since construction. */
+    struct Depths
+    {
+        std::size_t total = 0, peak = 0;
+        std::array<std::size_t, kNumPriorities> bands{}, bandPeaks{};
+    };
+    Depths depths() const;
 
     /**
      * Pool size used when none is requested: the GS_JOBS environment
@@ -72,13 +96,19 @@ class WorkerPool
     static unsigned defaultJobs();
 
   private:
+    struct Task
+    {
+        std::function<void()> fn;
+        std::shared_ptr<void> tag;
+    };
+
     void workerLoop();
 
     std::vector<std::thread> threads_;
-    std::deque<std::function<void()>> queue_;
+    std::array<std::deque<Task>, kNumPriorities> queue_;
+    Depths depths_; ///< bands[] unused: queue_ holds those
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::size_t peakDepth_ = 0;
     bool stop_ = false;
 };
 
@@ -86,7 +116,8 @@ class WorkerPool
 struct CacheStats
 {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0; ///< i.e. tasks actually scheduled
+    /** Runs scheduled, less those shed from the queue unrun. */
+    std::uint64_t misses = 0;
     /** Of the misses, how many were answered by the persistent disk
      *  cache instead of a simulation. */
     std::uint64_t diskHits = 0;
@@ -108,6 +139,8 @@ struct EngineSnapshot
     unsigned jobs = 0;
     std::size_t queueDepth = 0;
     std::size_t peakQueueDepth = 0;
+    std::array<std::size_t, kNumPriorities> bandDepths{};
+    std::array<std::size_t, kNumPriorities> bandPeaks{};
     bool degraded = false; ///< pool bypassed after repeated failures
     CacheStats cache;
     double wallSumSeconds = 0; ///< summed per-run simulate wall clock
@@ -116,11 +149,29 @@ struct EngineSnapshot
     std::vector<PhaseTimers::Entry> phases;
 };
 
+/** How ExperimentEngine::submitAsync() placed a request. */
+enum class Admission
+{
+    Refused, ///< queue full and nothing lower to evict; no callback
+    Started, ///< a new run was queued
+    Joined,  ///< joined a run still queued or computing
+    Cached,  ///< a finished run answered it; the callback already ran
+};
+
+/**
+ * submitAsync()'s completion callback: the shared result, or nullptr
+ * when the queued run was shed for a higher band. Runs on a worker (on
+ * the submitter for a memo hit), never under an engine lock, and may
+ * fire after the submitter is gone.
+ */
+using RunCallback = std::function<void(const RunResult *)>;
+
 /**
  * Worker pool + memoizing run cache. Simulations are keyed by
  * (workload abbreviation, ArchConfig::fingerprint()); a second request
- * for the same key joins the first run's future instead of
- * re-simulating — including while the first is still in flight.
+ * for the same key joins the first run instead of re-simulating —
+ * including while the first is still queued or computing. This is the
+ * only in-flight dedup layer: gscalard submits straight into it.
  *
  * The cache assumes default EnergyParams (every experiment driver uses
  * them); runs needing custom energy parameters should call
@@ -139,9 +190,27 @@ class ExperimentEngine
     std::shared_future<RunResult> submit(const Workload &w,
                                          const ArchConfig &cfg);
 
-    /** Schedule by Table 2 abbreviation. */
+    /** Schedule by name; a worker builds the workload, a cache hit
+     *  builds nothing. An unknown name is fatal here, on the caller. */
     std::shared_future<RunResult> submit(const std::string &abbr,
                                          const ArchConfig &cfg);
+
+    /**
+     * gscalard's entry point. A finished run calls @p done at once; a
+     * run in flight adds @p done to its waiters and, if @p band is
+     * higher, raises its queued task to it (priority inheritance); a
+     * new key queues a run in @p band, built and simulated on a worker.
+     * With @p maxQueued > 0 runs queued, a new key evicts the newest
+     * queued run of the lowest band below @p band (its waiters get
+     * nullptr, its cache entry is erased, it is no miss) or is Refused.
+     * Never simulates on the caller, not even when degraded(): a
+     * degraded engine still queues these on its pool, so an event loop
+     * never stalls. A name workloadResolvable() rejects completes with
+     * its error.
+     */
+    Admission submitAsync(const std::string &abbr, const ArchConfig &cfg,
+                          std::uint32_t band, std::size_t maxQueued,
+                          RunCallback done);
 
     /** Blocking convenience: submit and wait. */
     RunResult run(const Workload &w, const ArchConfig &cfg);
@@ -193,10 +262,12 @@ class ExperimentEngine
 
     /**
      * Whether the engine has degraded to serial execution: after
-     * kDegradeThreshold consecutive run failures, new submissions run
-     * inline on the caller thread instead of the pool for the rest of
-     * the process (the last rung of the degradation ladder — prefer a
-     * slow answer over a wedged pool).
+     * kDegradeThreshold consecutive run failures, new blocking
+     * submissions run inline on the caller thread instead of the pool
+     * for the rest of the process (the last rung of the degradation
+     * ladder — prefer a slow answer over a wedged pool). A launch the
+     * config cannot host (LaunchDoesNotFit) fails without a retry and
+     * does not count.
      */
     bool degraded() const
     {
@@ -213,37 +284,52 @@ class ExperimentEngine
     std::string statsSummary() const;
 
   private:
+    /** One cache entry: a run queued, computing or finished. */
+    struct Run;
+
+    /** The one admission path of every submit flavour; @p out set
+     *  means a blocking caller. Null @p prebuilt: build by name. */
+    Admission admit(const std::string &name, const ArchConfig &cfg,
+                    const Workload *prebuilt,
+                    std::uint32_t band, std::size_t maxQueued,
+                    RunCallback done, std::shared_ptr<Run> *out);
+
     /** Emit one GS_VERBOSE timing line through the mutexed obs sink. */
     void noteRun(const std::string &workload, const ArchConfig &cfg,
                  double seconds, const char *how) const;
 
     /**
      * The whole lifecycle of one scheduled run: disk-cache probe,
-     * simulation with retry-once (the retry under a fault-injection
-     * Suppress guard — injected faults are transient by contract),
-     * error capture into the RunResult, and write-back. Never lets an
-     * exception escape into the promise: one bad run must not poison
-     * the suite.
+     * build and simulation with retry-once (the retry under a
+     * fault-injection Suppress guard — injected faults are transient by
+     * contract), error capture into the RunResult, and write-back.
+     * Never lets an exception escape: one bad run must not poison the
+     * suite.
      */
-    void executeRun(const Workload &w, const ArchConfig &cfg,
-                    const std::shared_ptr<std::promise<RunResult>> &promise);
+    void executeRun(Run &run);
+
+    /** Publish @p r as @p run's result: future first, then waiters. */
+    void finish(Run &run, RunResult r);
 
     /** One simulation attempt, with the engine fault hooks applied. */
     RunResult simulateOnce(const Workload &w, const ArchConfig &cfg);
 
-    WorkerPool pool_;
     std::unique_ptr<DiskRunCache> disk_;
     std::atomic<unsigned> consecutiveFailures_{0};
     std::atomic<bool> degraded_{false};
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, std::shared_future<RunResult>> cache_;
+    std::unordered_map<std::string, std::shared_ptr<Run>> cache_;
     CacheStats stats_;
     double wallSumSeconds_ = 0; ///< summed per-run wall clock
     std::uint64_t simCycles_ = 0;
     std::uint64_t warpInsts_ = 0;
     PhaseTimers phases_;
     bool verbose_ = false; ///< GS_VERBOSE: per-run timing lines
+
+    /** Last member, so it is destroyed first: its destructor drains
+     *  the queue while everything a run touches is still alive. */
+    WorkerPool pool_;
 };
 
 /**
@@ -283,6 +369,13 @@ std::optional<unsigned> parseJobsValue(const std::string &s);
  * when a flag (--codec, --fault) overrides the variable.
  */
 void checkStartupEnv();
+
+/**
+ * Whether @p arg is one of the process-wide flags initHarness()
+ * applies (--jobs/-j, --codec, --cache, --fault[=], --sim-threads),
+ * and if so how many values follow it (0 or 1).
+ */
+std::optional<int> processFlagValues(std::string_view arg);
 
 /**
  * Standard harness-binary prologue: silence warn()/inform(), honour

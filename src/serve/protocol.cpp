@@ -51,7 +51,8 @@ constexpr std::uint16_t kStatFrameRejects = 17;
 // writers simply never emit them — either way the defaults hold).
 constexpr std::uint16_t kStatCoalesceLeaders = 18;
 constexpr std::uint16_t kStatCoalesceFollowers = 19;
-constexpr std::uint16_t kStatCoalescePromotions = 20;
+// 20 (coalesce promotions) is retired: readers skip it, and no later
+// field may reuse the number.
 constexpr std::uint16_t kStatBatches = 21;
 constexpr std::uint16_t kStatBatchPeak = 22;
 constexpr std::uint16_t kStatQueueSheds = 23;
@@ -315,7 +316,6 @@ serializeStatsResponse(const DaemonStats &s)
     w.field(kStatFrameRejects, s.frameRejects);
     w.field(kStatCoalesceLeaders, s.coalesceLeaders);
     w.field(kStatCoalesceFollowers, s.coalesceFollowers);
-    w.field(kStatCoalescePromotions, s.coalescePromotions);
     w.field(kStatBatches, s.batches);
     w.field(kStatBatchPeak, s.batchPeak);
     w.field(kStatQueueSheds, s.queueSheds);
@@ -358,7 +358,6 @@ deserializeStatsResponse(const std::uint8_t *data, std::size_t size,
     r.get(kStatFrameRejects, s.frameRejects);
     r.get(kStatCoalesceLeaders, s.coalesceLeaders);
     r.get(kStatCoalesceFollowers, s.coalesceFollowers);
-    r.get(kStatCoalescePromotions, s.coalescePromotions);
     r.get(kStatBatches, s.batches);
     r.get(kStatBatchPeak, s.batchPeak);
     r.get(kStatQueueSheds, s.queueSheds);

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hpp"
+#include "harness/engine.hpp" // kNumPriorities, kDefaultPriority
 #include "obs/stats.hpp"
 #include "store/serial.hpp"
 
@@ -36,12 +36,6 @@ namespace gs
 
 /** Largest accepted frame payload; bigger frames drop the connection. */
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-
-/** Number of admission-priority bands carried by RunRequest::priority. */
-inline constexpr std::uint32_t kNumPriorities = 3;
-
-/** Default request priority (the middle band). */
-inline constexpr std::uint32_t kDefaultPriority = 1;
 
 /**
  * Socket path used when none is given: $GS_SOCKET, else
@@ -133,13 +127,13 @@ struct DaemonStats
 
     // Reactor / coalescing tier (appended tags; old daemons leave the
     // in-memory zeros, so mixed-version stats probes keep working).
-    std::uint64_t coalesceLeaders = 0;    ///< flights actually computed
-    std::uint64_t coalesceFollowers = 0;  ///< submits served by a flight
-    std::uint64_t coalescePromotions = 0; ///< leaders replaced after a crash
-    std::uint64_t batches = 0;            ///< reactor dispatch batches
-    std::uint64_t batchPeak = 0;          ///< largest batch (requests)
-    std::uint64_t queueSheds = 0;         ///< requests shed by admission
-    /** Current and peak queued flights per priority band (0 = lowest). */
+    std::uint64_t coalesceLeaders = 0;   ///< submits that started a run
+    std::uint64_t coalesceFollowers = 0; ///< submits that joined one
+    std::uint64_t batches = 0;           ///< reactor dispatch batches
+    std::uint64_t batchPeak = 0;         ///< largest batch (requests)
+    std::uint64_t queueSheds = 0;        ///< requests shed by admission
+    /** Current and peak queued engine runs per priority band (0 =
+     *  lowest). */
     std::array<std::uint64_t, kNumPriorities> queueDepths{};
     std::array<std::uint64_t, kNumPriorities> queuePeaks{};
     /** Reactor loop iteration latency (epoll wake to quiesce). */

@@ -4,13 +4,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -52,6 +52,13 @@ constexpr double kDrainFlushDeadlineSec = 5.0;
 
 /** Grace before reaping a closing connection whose peer never EOFs. */
 constexpr double kClosingGraceSec = 30.0;
+
+std::chrono::steady_clock::duration
+seconds(double s)
+{
+    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(s));
+}
 
 bool
 setNonBlocking(int fd)
@@ -173,16 +180,7 @@ bindTcpSocket(const std::string &spec, std::uint16_t *boundPort,
     return fd;
 }
 
-/** Engine cache key, so flights and memo entries coalesce identically. */
-std::string
-flightKey(const RunRequest &req)
-{
-    std::ostringstream os;
-    os << req.workload << '#' << std::hex << req.cfg.fingerprint();
-    return os.str();
-}
-
-/** One wire frame (length prefix + payload), shareable across waiters. */
+/** One wire frame (length prefix + payload), shareable across peers. */
 std::shared_ptr<const std::vector<std::uint8_t>>
 makeFrame(const std::vector<std::uint8_t> &payload)
 {
@@ -208,8 +206,48 @@ makeResponseFrame(ResponseStatus status, std::string error)
 
 } // namespace
 
+/** A finished request travelling engine worker -> reactor. */
+struct GscalarServer::Completion
+{
+    std::uint64_t reqId = 0;
+    ResponseStatus status = ResponseStatus::InternalError;
+    Frame frame;
+};
+
+struct GscalarServer::Mailbox
+{
+    std::mutex mutex;
+    std::deque<Completion> completions;
+    /** Polled by the reactor. Closed with the last reference, so a late
+     *  post or a signal never writes to a closed (or reused) fd. */
+    const int wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    const int wakeErrno = wakeFd < 0 ? errno : 0;
+
+    ~Mailbox()
+    {
+        if (wakeFd >= 0)
+            ::close(wakeFd);
+    }
+
+    void wake() noexcept
+    {
+        const std::uint64_t one = 1;
+        [[maybe_unused]] ssize_t w = ::write(wakeFd, &one, sizeof(one));
+    }
+
+    void post(Completion done)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            completions.push_back(std::move(done));
+        }
+        wake();
+    }
+};
+
 GscalarServer::GscalarServer(ExperimentEngine &engine, Options opts)
-    : engine_(engine), opts_(std::move(opts))
+    : engine_(engine), opts_(std::move(opts)),
+      mailbox_(std::make_shared<Mailbox>())
 {
     path_ = opts_.socketPath.empty() ? defaultSocketPath()
                                      : opts_.socketPath;
@@ -230,11 +268,9 @@ GscalarServer::start(std::string *error)
 {
     GS_ASSERT(!running_.load(), "start() on a running server");
     stopping_.store(false);
-    stopWorkers_ = false;
 
     auto failCleanup = [this] {
-        for (int *fd : {&listenFd_, &tcpListenFd_, &epollFd_,
-                        &wakeFds_[0], &wakeFds_[1]}) {
+        for (int *fd : {&listenFd_, &tcpListenFd_, &epollFd_}) {
             if (*fd >= 0) {
                 ::close(*fd);
                 *fd = -1;
@@ -248,14 +284,13 @@ GscalarServer::start(std::string *error)
             *error = std::string("epoll_create1: ") + std::strerror(errno);
         return false;
     }
-    if (::pipe(wakeFds_) != 0) {
+    if (mailbox_->wakeFd < 0) {
         if (error)
-            *error = std::string("pipe: ") + std::strerror(errno);
+            *error = std::string("eventfd: ") +
+                     std::strerror(mailbox_->wakeErrno);
         failCleanup();
         return false;
     }
-    setNonBlocking(wakeFds_[0]);
-    setNonBlocking(wakeFds_[1]);
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listenFd_ < 0) {
@@ -295,7 +330,7 @@ GscalarServer::start(std::string *error)
         ev.data.u64 = id;
         return ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) == 0;
     };
-    if (!addFd(wakeFds_[0], kIdWake) ||
+    if (!addFd(mailbox_->wakeFd, kIdWake) ||
         !addFd(listenFd_, kIdUnixListen) ||
         (tcpListenFd_ >= 0 && !addFd(tcpListenFd_, kIdTcpListen))) {
         if (error)
@@ -308,13 +343,6 @@ GscalarServer::start(std::string *error)
     startTime_ = std::chrono::steady_clock::now();
     running_.store(true);
     reactorThread_ = std::thread([this] { reactorLoop(); });
-
-    unsigned workers = opts_.serviceThreads;
-    if (workers == 0)
-        workers = engine_.jobs() + 2;
-    serviceThreads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        serviceThreads_.emplace_back([this] { serviceLoop(); });
     return true;
 }
 
@@ -322,17 +350,7 @@ void
 GscalarServer::requestStop() noexcept
 {
     stopping_.store(true);
-    wakeReactor();
-}
-
-void
-GscalarServer::wakeReactor() noexcept
-{
-    if (wakeFds_[1] >= 0) {
-        const char byte = 1;
-        // Best effort; a full pipe still wakes the reactor.
-        [[maybe_unused]] ssize_t w = ::write(wakeFds_[1], &byte, 1);
-    }
+    mailbox_->wake();
 }
 
 // ---- reactor ------------------------------------------------------------
@@ -360,6 +378,12 @@ GscalarServer::reactorLoop()
                                    250);
         if (stopping_.load())
             timeoutMs = std::min(timeoutMs, 50);
+        if (!deadlines_.empty()) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                deadlines_.front().first - std::chrono::steady_clock::now());
+            timeoutMs = int(std::clamp<std::int64_t>(left.count(), 0,
+                                                     timeoutMs));
+        }
 
         const int n = ::epoll_wait(epollFd_, events.data(),
                                    int(events.size()), timeoutMs);
@@ -385,9 +409,9 @@ GscalarServer::reactorLoop()
             const std::uint64_t id = events[i].data.u64;
             const std::uint32_t ev = events[i].events;
             if (id == kIdWake) {
-                std::uint8_t buf[256];
-                while (::read(wakeFds_[0], buf, sizeof(buf)) > 0) {
-                }
+                std::uint64_t posts = 0;
+                [[maybe_unused]] ssize_t r =
+                    ::read(mailbox_->wakeFd, &posts, sizeof(posts));
             } else if (id == kIdUnixListen) {
                 acceptReady(listenFd_, /*tcp=*/false);
             } else if (id == kIdTcpListen) {
@@ -403,6 +427,7 @@ GscalarServer::reactorLoop()
 
         dispatchBatch(batch);
         drainCompletions();
+        sweepDeadlines(std::chrono::steady_clock::now());
         idleSweep(wake);
         reapDead();
 
@@ -417,30 +442,21 @@ GscalarServer::reactorLoop()
             if (!listenersClosed) {
                 closeListeners();
                 listenersClosed = true;
-                drainDeadline =
-                    wake + std::chrono::duration_cast<
-                               std::chrono::steady_clock::duration>(
-                               std::chrono::duration<double>(
-                                   kDrainFlushDeadlineSec));
-            }
-            bool completionsEmpty;
-            {
-                std::lock_guard<std::mutex> lock(completionMutex_);
-                completionsEmpty = completions_.empty();
+                drainDeadline = wake + seconds(kDrainFlushDeadlineSec);
             }
             bool writesFlushed = true;
             for (const auto &[id, conn] : conns_)
                 if (!conn->dead && !conn->wq.empty())
                     writesFlushed = false;
-            if (flights_.empty() && completionsEmpty &&
+            if (outstanding_.empty() &&
                 (writesFlushed ||
                  std::chrono::steady_clock::now() > drainDeadline))
                 break;
         }
     }
 
-    // Drained (or the loop died): every response owed has been fanned
-    // out and flushed. Tear the connections down.
+    // Drained (or the loop died): every response owed has been sent
+    // and flushed. Tear the connections down.
     for (auto &[id, conn] : conns_) {
         if (conn->fd >= 0)
             ::close(conn->fd);
@@ -488,12 +504,10 @@ GscalarServer::acceptReady(int listenFd, bool tcp)
             overloads_.fetch_add(1);
             healthCounters().daemonOverloads.fetch_add(
                 1, std::memory_order_relaxed);
-            RunResponse resp;
-            resp.status = ResponseStatus::Overloaded;
-            resp.error = "connection cap (" +
-                         std::to_string(opts_.maxConnections) +
-                         ") reached; retry with backoff";
-            const auto frame = makeFrame(serializeResponse(resp));
+            const Frame frame = makeResponseFrame(
+                ResponseStatus::Overloaded,
+                "connection cap (" + std::to_string(opts_.maxConnections) +
+                    ") reached; retry with backoff");
             [[maybe_unused]] ssize_t w =
                 ::send(fd, frame->data(), frame->size(), MSG_NOSIGNAL);
             ::close(fd);
@@ -545,14 +559,14 @@ GscalarServer::readConn(Conn &conn, std::vector<BatchItem> &batch)
             // lifecycle replaced the old reap-on-next-accept). Any
             // response still owed is dropped with the peer.
             conn.sawEof = true;
-            markDead(conn);
+            conn.dead = true;
             return;
         }
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             return;
-        markDead(conn); // ECONNRESET and friends
+        conn.dead = true; // ECONNRESET and friends
         return;
     }
 }
@@ -575,12 +589,11 @@ GscalarServer::parseFrames(Conn &conn, std::vector<BatchItem> &batch)
             frameRejects_.fetch_add(1);
             healthCounters().daemonFrameRejects.fetch_add(
                 1, std::memory_order_relaxed);
-            RunResponse resp;
-            resp.status = ResponseStatus::BadRequest;
-            resp.error = "frame exceeds the " +
-                         std::to_string(opts_.maxFrameBytes) +
-                         " byte limit";
-            respond(conn, resp);
+            enqueueFrame(conn, makeResponseFrame(
+                                   ResponseStatus::BadRequest,
+                                   "frame exceeds the " +
+                                       std::to_string(opts_.maxFrameBytes) +
+                                       " byte limit"));
             conn.closing = true;
             conn.rbuf.clear();
             conn.rpos = 0;
@@ -621,47 +634,28 @@ GscalarServer::handleFrame(Conn &conn, const std::uint8_t *data,
         enqueueFrame(conn, makeFrame(serializeStatsResponse(stats())));
         return;
     }
-    if (kind != BlobKind::Request) {
-        RunResponse resp;
-        resp.status = ResponseStatus::BadRequest;
-        resp.error = "unexpected message kind";
-        respond(conn, resp);
-        return;
-    }
+    auto refuse = [&](ResponseStatus status, const std::string &why) {
+        enqueueFrame(conn, makeResponseFrame(status, why));
+    };
+    if (kind != BlobKind::Request)
+        return refuse(ResponseStatus::BadRequest, "unexpected message kind");
 
-    RunResponse resp;
     std::string err;
     std::optional<RunRequest> req = deserializeRequest(data, size, &err);
-    if (!req) {
-        resp.status = ResponseStatus::BadRequest;
-        resp.error = "malformed request: " + err;
-        respond(conn, resp);
-        return;
-    }
-    if (!workloadResolvable(req->workload)) {
-        resp.status = ResponseStatus::BadRequest;
-        resp.error = "unknown workload '" + req->workload + "'";
-        respond(conn, resp);
-        return;
-    }
-    if (std::string bad = req->cfg.check(); !bad.empty()) {
-        resp.status = ResponseStatus::BadRequest;
-        resp.error = "invalid configuration: " + bad;
-        respond(conn, resp);
-        return;
-    }
-    if (stopping_.load()) {
-        resp.status = ResponseStatus::ShuttingDown;
-        resp.error = "server is draining";
-        respond(conn, resp);
-        return;
-    }
+    if (!req)
+        return refuse(ResponseStatus::BadRequest,
+                      "malformed request: " + err);
+    // Parse-only: nothing is built or expanded on the reactor.
+    if (!workloadResolvable(req->workload, &err))
+        return refuse(ResponseStatus::BadRequest, err);
+    if (std::string bad = req->cfg.check(); !bad.empty())
+        return refuse(ResponseStatus::BadRequest,
+                      "invalid configuration: " + bad);
+    if (stopping_.load())
+        return refuse(ResponseStatus::ShuttingDown, "server is draining");
 
-    conn.inFlight++;
-    BatchItem item;
-    item.connId = conn.id;
-    item.req = std::move(*req);
-    batch.push_back(std::move(item));
+    conn.owed++;
+    batch.push_back({conn.id, std::move(*req)});
 }
 
 void
@@ -677,193 +671,114 @@ GscalarServer::dispatchBatch(std::vector<BatchItem> &batch)
 
     const auto now = std::chrono::steady_clock::now();
     for (BatchItem &item : batch) {
-        const std::string key = flightKey(item.req);
-        const auto it = flights_.find(key);
-        if (it != flights_.end()) {
-            // Singleflight join: park on the flight in the air and
-            // share its one computation (and its one serialization).
-            Flight &flight = it->second;
-            flight.waiters.push_back({item.connId, now});
-            coalesceFollowers_.fetch_add(1, std::memory_order_relaxed);
-            if (item.req.priority > flight.priority) {
-                // Priority inheritance: a high-priority follower must
-                // not wait behind the leader's lower band.
-                std::lock_guard<std::mutex> lock(pendingMutex_);
-                auto &from = pending_[flight.priority];
-                for (auto job = from.begin(); job != from.end(); ++job) {
-                    if (job->key == key) {
-                        PendingJob moved = std::move(*job);
-                        from.erase(job);
-                        auto &to = pending_[item.req.priority];
-                        to.push_back(std::move(moved));
-                        queuePeaks_[item.req.priority] = std::max(
-                            queuePeaks_[item.req.priority],
-                            std::uint64_t(to.size()));
-                        break;
-                    }
-                }
-                flight.priority = item.req.priority;
-            }
-            continue;
-        }
-
-        // New flight: admission control. The queue bound covers
-        // flights not yet picked up by a service thread; when it is
-        // full a lower-band queued flight is shed to make room, else
-        // the arrival itself is shed.
-        std::string victimKey;
-        bool admitted = true;
-        {
-            std::lock_guard<std::mutex> lock(pendingMutex_);
-            std::size_t total = 0;
-            for (const auto &band : pending_)
-                total += band.size();
-            if (opts_.maxQueuedFlights > 0 &&
-                total >= opts_.maxQueuedFlights) {
-                for (std::uint32_t band = 0; band < item.req.priority;
-                     ++band) {
-                    if (!pending_[band].empty()) {
-                        victimKey = pending_[band].back().key;
-                        pending_[band].pop_back();
-                        break;
-                    }
-                }
-                if (victimKey.empty())
-                    admitted = false;
-            }
-            if (admitted) {
-                auto &band = pending_[item.req.priority];
-                PendingJob job;
-                job.key = key;
-                job.req = item.req;
-                job.created = now;
-                band.push_back(std::move(job));
-                queuePeaks_[item.req.priority] =
-                    std::max(queuePeaks_[item.req.priority],
-                             std::uint64_t(band.size()));
-            }
-        }
-        if (!victimKey.empty())
-            shedFlight(victimKey,
-                       "shed by a higher-priority arrival; retry with "
-                       "backoff");
-        if (!admitted) {
-            queueSheds_.fetch_add(1, std::memory_order_relaxed);
-            healthCounters().daemonQueueSheds.fetch_add(
-                1, std::memory_order_relaxed);
-            if (Conn *conn = findConn(item.connId)) {
-                RunResponse resp;
+        const std::uint64_t id = nextReqId_++;
+        // Recorded first: a memo hit calls back before submitAsync()
+        // returns. The callback captures the mailbox, never `this`.
+        outstanding_.emplace(id, Outstanding{item.connId,
+                                             item.req.workload, now});
+        auto done = [box = mailbox_, id](const RunResult *r) {
+            RunResponse resp;
+            if (!r) {
                 resp.status = ResponseStatus::Overloaded;
-                resp.error =
-                    "admission queue full (" +
-                    std::to_string(opts_.maxQueuedFlights) +
-                    ") at priority " + std::to_string(item.req.priority) +
-                    "; retry with backoff";
-                conn->inFlight--;
-                respond(*conn, resp);
+                resp.error = "shed by a higher-priority arrival; retry "
+                             "with backoff";
+            } else if (r->ok()) {
+                resp.status = ResponseStatus::Ok;
+                resp.result = *r;
+            } else {
+                // The engine retried (where that can help) and still
+                // failed; the error rides the result.
+                resp.status = ResponseStatus::InternalError;
+                resp.error = r->error;
             }
+            box->post({id, resp.status, makeFrame(serializeResponse(resp))});
+        };
+        const Admission how = engine_.submitAsync(
+            item.req.workload, item.req.cfg, item.req.priority,
+            opts_.maxQueuedRuns, std::move(done));
+        if (how == Admission::Refused) {
+            answer(id, ResponseStatus::Overloaded,
+                   makeResponseFrame(
+                       ResponseStatus::Overloaded,
+                       "admission queue full (" +
+                           std::to_string(opts_.maxQueuedRuns) +
+                           ") at priority " +
+                           std::to_string(item.req.priority) +
+                           "; retry with backoff"),
+                   now);
             continue;
         }
-
-        Flight flight;
-        flight.req = item.req;
-        flight.priority = item.req.priority;
-        flight.created = now;
-        flight.waiters.push_back({item.connId, now});
-        flights_.emplace(key, std::move(flight));
-        coalesceLeaders_.fetch_add(1, std::memory_order_relaxed);
-        pendingCv_.notify_one();
+        if (how == Admission::Started)
+            coalesceLeaders_.fetch_add(1, std::memory_order_relaxed);
+        else if (how == Admission::Joined)
+            coalesceFollowers_.fetch_add(1, std::memory_order_relaxed);
+        if (opts_.requestTimeoutSec > 0)
+            deadlines_.emplace_back(now + seconds(opts_.requestTimeoutSec),
+                                    id);
     }
-}
-
-void
-GscalarServer::shedFlight(const std::string &key, const std::string &why)
-{
-    const auto it = flights_.find(key);
-    if (it == flights_.end())
-        return;
-    queueSheds_.fetch_add(1, std::memory_order_relaxed);
-    healthCounters().daemonQueueSheds.fetch_add(
-        1, std::memory_order_relaxed);
-    const auto frame = makeResponseFrame(ResponseStatus::Overloaded, why);
-    for (const Waiter &w : it->second.waiters) {
-        if (Conn *conn = findConn(w.connId)) {
-            conn->inFlight--;
-            enqueueFrame(*conn, frame);
-        }
-    }
-    flights_.erase(it);
 }
 
 void
 GscalarServer::drainCompletions()
 {
-    for (;;) {
-        Completion done;
-        {
-            std::lock_guard<std::mutex> lock(completionMutex_);
-            if (completions_.empty())
-                return;
-            done = std::move(completions_.front());
-            completions_.pop_front();
-        }
-        fanOut(done.key, done);
+    std::deque<Completion> done;
+    {
+        std::lock_guard<std::mutex> lock(mailbox_->mutex);
+        done.swap(mailbox_->completions);
     }
+    const auto now = std::chrono::steady_clock::now();
+    for (const Completion &c : done)
+        answer(c.reqId, c.status, c.frame, now);
 }
 
 void
-GscalarServer::fanOut(const std::string &key, const Completion &done)
+GscalarServer::answer(std::uint64_t reqId, ResponseStatus status,
+                      const Frame &frame,
+                      std::chrono::steady_clock::time_point now)
 {
-    const auto it = flights_.find(key);
-    if (it == flights_.end())
-        return;
-    Flight &flight = it->second;
-
-    if (done.leaderCrash) {
-        // The leader died mid-flight; promote: re-dispatch the same
-        // flight at the front of its band, marked so the rerun is
-        // exempt from injection (transient-fault contract) — every
-        // follower still gets its answer.
-        coalescePromotions_.fetch_add(1, std::memory_order_relaxed);
-        healthCounters().coalescePromotions.fetch_add(
+    const auto it = outstanding_.find(reqId);
+    if (it == outstanding_.end())
+        return; // already answered: a completion after its timeout
+    const Outstanding req = std::move(it->second);
+    outstanding_.erase(it);
+    if (status == ResponseStatus::Overloaded) {
+        queueSheds_.fetch_add(1, std::memory_order_relaxed);
+        healthCounters().daemonQueueSheds.fetch_add(
             1, std::memory_order_relaxed);
-        flight.dispatched = false;
-        PendingJob job;
-        job.key = key;
-        job.req = flight.req;
-        job.promoted = true;
-        job.created = flight.created;
-        {
-            std::lock_guard<std::mutex> lock(pendingMutex_);
-            auto &band = pending_[flight.priority];
-            band.push_front(std::move(job));
-            queuePeaks_[flight.priority] =
-                std::max(queuePeaks_[flight.priority],
-                         std::uint64_t(band.size()));
-        }
-        pendingCv_.notify_one();
-        return;
     }
+    Conn *conn = findConn(req.connId);
+    if (conn == nullptr || conn->dead)
+        return; // the peer hung up while waiting
+    conn->owed--;
+    conn->lastActivity = now;
+    // Count before sending: the peer may act on the frame the instant
+    // send() lands, and must then observe the serve.
+    if (status == ResponseStatus::Ok) {
+        served_.fetch_add(1);
+        std::lock_guard<std::mutex> lock(latencyMutex_);
+        latency_[req.workload].record(
+            std::chrono::duration<double>(now - req.start).count());
+    }
+    enqueueFrame(*conn, frame);
+}
 
-    const auto now = std::chrono::steady_clock::now();
-    const bool ok = done.status == ResponseStatus::Ok;
-    for (const Waiter &w : flight.waiters) {
-        Conn *conn = findConn(w.connId);
-        if (conn == nullptr || conn->dead)
-            continue; // the peer hung up while waiting
-        conn->inFlight--;
-        conn->lastActivity = now;
-        // Count before sending: the peer may act on the frame the
-        // instant send() lands, and must then observe the serve.
-        if (ok) {
-            served_.fetch_add(1);
-            std::lock_guard<std::mutex> lock(latencyMutex_);
-            latency_[flight.req.workload].record(
-                std::chrono::duration<double>(now - w.start).count());
-        }
-        enqueueFrame(*conn, done.frame);
+void
+GscalarServer::sweepDeadlines(std::chrono::steady_clock::time_point now)
+{
+    // Entries of requests already answered leave from the front too, so
+    // the deque holds little more than the requests outstanding.
+    while (!deadlines_.empty() &&
+           (deadlines_.front().first <= now ||
+            !outstanding_.count(deadlines_.front().second))) {
+        const std::uint64_t id = deadlines_.front().second;
+        deadlines_.pop_front();
+        if (outstanding_.count(id))
+            answer(id, ResponseStatus::Timeout,
+                   makeResponseFrame(
+                       ResponseStatus::Timeout,
+                       "simulation exceeded the request budget"),
+                   now);
     }
-    flights_.erase(it);
 }
 
 void
@@ -880,23 +795,17 @@ GscalarServer::idleSweep(std::chrono::steady_clock::time_point now)
                                      ? opts_.idleTimeoutSec
                                      : kClosingGraceSec;
             if (conn->wq.empty() && (conn->sawEof || idle > grace))
-                markDead(*conn);
+                conn->dead = true;
             continue;
         }
-        if (opts_.idleTimeoutSec > 0 && conn->inFlight == 0 &&
+        if (opts_.idleTimeoutSec > 0 && conn->owed == 0 &&
             conn->wq.empty() && idle > opts_.idleTimeoutSec) {
             idleCloses_.fetch_add(1);
             healthCounters().daemonIdleCloses.fetch_add(
                 1, std::memory_order_relaxed);
-            markDead(*conn);
+            conn->dead = true;
         }
     }
-}
-
-void
-GscalarServer::markDead(Conn &conn)
-{
-    conn.dead = true;
 }
 
 void
@@ -916,14 +825,7 @@ GscalarServer::reapDead()
 }
 
 void
-GscalarServer::respond(Conn &conn, const RunResponse &resp)
-{
-    enqueueFrame(conn, makeFrame(serializeResponse(resp)));
-}
-
-void
-GscalarServer::enqueueFrame(
-    Conn &conn, std::shared_ptr<const std::vector<std::uint8_t>> f)
+GscalarServer::enqueueFrame(Conn &conn, Frame f)
 {
     if (conn.dead)
         return;
@@ -946,7 +848,7 @@ GscalarServer::flushConn(Conn &conn)
                 armWrite(conn, true);
                 return;
             }
-            markDead(conn); // EPIPE/ECONNRESET: the peer is gone
+            conn.dead = true; // EPIPE/ECONNRESET: the peer is gone
             return;
         }
         b.off += std::size_t(w);
@@ -956,7 +858,7 @@ GscalarServer::flushConn(Conn &conn)
     if (conn.wantWrite)
         armWrite(conn, false);
     if (conn.closing && conn.sawEof)
-        markDead(conn);
+        conn.dead = true;
 }
 
 void
@@ -970,116 +872,6 @@ GscalarServer::armWrite(Conn &conn, bool on)
     ev.data.u64 = conn.id;
     if (::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0)
         conn.wantWrite = on;
-}
-
-// ---- service pool -------------------------------------------------------
-
-void
-GscalarServer::serviceLoop()
-{
-    for (;;) {
-        PendingJob job;
-        {
-            std::unique_lock<std::mutex> lock(pendingMutex_);
-            pendingCv_.wait(lock, [this] {
-                if (stopWorkers_)
-                    return true;
-                for (const auto &band : pending_)
-                    if (!band.empty())
-                        return true;
-                return false;
-            });
-            bool found = false;
-            for (std::uint32_t band = kNumPriorities; band-- > 0;) {
-                if (!pending_[band].empty()) {
-                    job = std::move(pending_[band].front());
-                    pending_[band].pop_front();
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                if (stopWorkers_)
-                    return;
-                continue;
-            }
-        }
-        runJob(std::move(job));
-    }
-}
-
-void
-GscalarServer::runJob(PendingJob job)
-{
-    Completion done;
-    done.key = job.key;
-
-    if (!job.promoted &&
-        injectFault("serve", FaultKind::CoalesceLeaderCrash)) {
-        // The leader's computation dies before reaching the engine;
-        // the reactor must promote (re-dispatch) so followers are
-        // never stranded on a dead flight.
-        done.leaderCrash = true;
-        postCompletion(std::move(done));
-        return;
-    }
-    // A promoted rerun is the recovery path: injected faults model
-    // transient failures, so it runs exempt from further injection.
-    std::optional<FaultInjector::Suppress> guard;
-    if (job.promoted)
-        guard.emplace();
-
-    RunResponse resp;
-    const auto budget = std::chrono::duration<double>(
-        opts_.requestTimeoutSec > 0 ? opts_.requestTimeoutSec : 1e9);
-    const auto elapsed = std::chrono::steady_clock::now() - job.created;
-    try {
-        if (elapsed >= budget) {
-            resp.status = ResponseStatus::Timeout;
-            resp.error = "simulation exceeded the request budget";
-        } else {
-            std::shared_future<RunResult> future =
-                engine_.submit(job.req.workload, job.req.cfg);
-            if (future.wait_for(budget - elapsed) !=
-                std::future_status::ready) {
-                resp.status = ResponseStatus::Timeout;
-                resp.error = "simulation exceeded the request budget";
-            } else {
-                resp.result = future.get();
-                if (resp.result.ok()) {
-                    resp.status = ResponseStatus::Ok;
-                } else {
-                    // The engine retried and still failed; the error
-                    // rides the result rather than an exception
-                    // (engine.cpp), so map it to a status here.
-                    resp.status = ResponseStatus::InternalError;
-                    resp.error = resp.result.error;
-                    resp.result = RunResult{};
-                }
-            }
-        }
-    } catch (const std::exception &e) {
-        resp.status = ResponseStatus::InternalError;
-        resp.error = e.what();
-        resp.result = RunResult{};
-    }
-
-    done.status = resp.status;
-    // Serialize exactly once: every waiter receives these same bytes,
-    // which is what makes coalesced results byte-identical by
-    // construction.
-    done.frame = makeFrame(serializeResponse(resp));
-    postCompletion(std::move(done));
-}
-
-void
-GscalarServer::postCompletion(Completion done)
-{
-    {
-        std::lock_guard<std::mutex> lock(completionMutex_);
-        completions_.push_back(std::move(done));
-    }
-    wakeReactor();
 }
 
 // ---- stats / lifecycle --------------------------------------------------
@@ -1109,16 +901,12 @@ GscalarServer::stats() const
     s.frameRejects = frameRejects_.load();
     s.coalesceLeaders = coalesceLeaders_.load();
     s.coalesceFollowers = coalesceFollowers_.load();
-    s.coalescePromotions = coalescePromotions_.load();
     s.batches = batches_.load();
     s.batchPeak = batchPeak_.load();
     s.queueSheds = queueSheds_.load();
-    {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
-        for (std::size_t i = 0; i < kNumPriorities; ++i) {
-            s.queueDepths[i] = pending_[i].size();
-            s.queuePeaks[i] = queuePeaks_[i];
-        }
+    for (std::size_t i = 0; i < kNumPriorities; ++i) {
+        s.queueDepths[i] = snap.bandDepths[i];
+        s.queuePeaks[i] = snap.bandPeaks[i];
     }
     std::lock_guard<std::mutex> lock(latencyMutex_);
     s.reactorLoop = reactorLoopHist_;
@@ -1132,27 +920,15 @@ GscalarServer::wait()
 {
     if (reactorThread_.joinable())
         reactorThread_.join();
-
-    {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
-        stopWorkers_ = true;
-    }
-    pendingCv_.notify_all();
-    for (std::thread &t : serviceThreads_)
-        if (t.joinable())
-            t.join();
-    serviceThreads_.clear();
+    // Requests still owed after a failed loop are dropped with their
+    // connections; their late completions find no one.
+    outstanding_.clear();
+    deadlines_.clear();
 
     closeListeners();
     if (epollFd_ >= 0) {
         ::close(epollFd_);
         epollFd_ = -1;
-    }
-    for (int &fd : wakeFds_) {
-        if (fd >= 0) {
-            ::close(fd);
-            fd = -1;
-        }
     }
     if (running_.load())
         ::unlink(path_.c_str());
@@ -1215,21 +991,19 @@ parseServeFlags(int argc, char **argv, int &i, GscalarServer::Options &opts)
 {
     for (; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--cache" || a.rfind("--fault=", 0) == 0)
-            continue; // process-wide: initHarness() applies it
-        const bool processWide = a == "--codec" || a == "--fault" ||
-                                 a == "--jobs" || a == "-j" ||
-                                 a == "--sim-threads";
-        if (!processWide && a != "--socket" && a != "--tcp" &&
-            a != "--timeout" && a != "--idle-timeout" &&
-            a != "--max-connections" && a != "--max-frame-bytes" &&
-            a != "--max-queued" && a != "--service-threads")
+        if (const std::optional<int> n = processFlagValues(a)) {
+            if (i + *n >= argc)
+                return a + " needs a value";
+            i += *n; // process-wide: initHarness() applies it
+            continue;
+        }
+        if (a != "--socket" && a != "--tcp" && a != "--timeout" &&
+            a != "--idle-timeout" && a != "--max-connections" &&
+            a != "--max-frame-bytes" && a != "--max-queued")
             return {};
         if (i + 1 >= argc)
             return a + " needs a value";
         const std::string v = argv[++i];
-        if (processWide)
-            continue;
         auto count = [&v](std::uint64_t lo, std::uint64_t hi, auto &out) {
             const std::optional<std::uint64_t> n = parseDecimal(v, lo, hi);
             if (n)
@@ -1255,12 +1029,8 @@ parseServeFlags(int argc, char **argv, int &i, GscalarServer::Options &opts)
             why = count(0, UINT32_MAX, opts.maxConnections);
         } else if (a == "--max-frame-bytes") {
             why = count(1, kMaxFrameBytes, opts.maxFrameBytes);
-        } else if (a == "--max-queued") {
-            why = count(0, UINT32_MAX, opts.maxQueuedFlights);
-        } else if (const std::optional<unsigned> n = parseJobsValue(v)) {
-            opts.serviceThreads = *n; // --service-threads, the last flag
         } else {
-            why = "want an integer in [1, 4096]";
+            why = count(0, UINT32_MAX, opts.maxQueuedRuns);
         }
         if (!why.empty())
             return "invalid " + a + " value '" + v + "': " + why;

@@ -7,52 +7,41 @@
  * (workload x config) point exactly once machine-wide.
  *
  * Concurrency model: a single reactor thread owns every fd — the unix
- * listener, the optional TCP listener, a self-wake pipe, and all
+ * listener, the optional TCP listener, a wake eventfd, and all
  * client connections — in one nonblocking epoll set, with per-
  * connection read/write state machines for the framed protocol. An
  * idle connection costs an epoll slot, not a blocked thread.
  *
- * On top of the reactor:
+ * One dedup layer, one thread hop: the reactor hands each admitted run
+ * request straight to ExperimentEngine::submitAsync(), keyed on
+ * (workload, ArchConfig::fingerprint()). The engine joins duplicates
+ * of a queued or computing run and answers memo hits; the worker that
+ * finishes a run posts each response, serialized (deterministically)
+ * from the one shared RunResult, back through a completion queue and
+ * the wake fd. The reactor never blocks on a future, never builds a
+ * workload (names are checked parse-only) and never simulates.
  *
- *  - In-flight coalescing (singleflight): run requests are keyed on
- *    (workload, ArchConfig::fingerprint()). The first submit creates a
- *    *flight* and becomes its leader; concurrent submits with the same
- *    key park on the flight as followers. The result is computed once,
- *    serialized once, and the identical response bytes fan out to
- *    every waiter. The serve:coalesce-leader-crash fault site kills
- *    the leader's attempt; the flight is then re-dispatched under a
- *    Suppress guard (a promotion), so followers still get answers.
- *
- *  - Request batching: all submits that became readable in one epoll
- *    iteration are admitted as a single batch, so a burst of duplicate
- *    requests coalesces before any of them reaches the engine.
- *
- *  - Admission control with priorities: a submit carries a priority
- *    band (RunRequest::priority, 0..2); flights queue per band in a
- *    bounded admission queue and the service pool dispatches the
- *    highest band first. When the queue is full, the lowest-band
- *    queued flight is shed with ResponseStatus::Overloaded to make
- *    room for a higher-band arrival (or the arrival itself is shed).
- *    A follower with a higher priority than its queued flight raises
- *    the flight's band (priority inheritance).
- *
- * Simulation runs execute on a fixed pool of service threads that
- * bridge flights onto the engine; the reactor thread never blocks on
- * simulation work.
+ * Requests readable in one epoll iteration are admitted as one batch.
+ * A request's priority band (RunRequest::priority, 0..2) is the band
+ * its run queues in, highest first; with Options::maxQueuedRuns
+ * runs queued, a new run evicts the newest queued run of a lower band
+ * (its waiters get ResponseStatus::Overloaded) or is shed itself, and
+ * a higher-band request joining a queued run raises its band. A
+ * request still unanswered at Options::requestTimeoutSec gets
+ * ResponseStatus::Timeout; its run keeps computing and the late
+ * completion is dropped.
  *
  * Shutdown — stop(), or SIGINT/SIGTERM once installSignalHandlers() is
  * on — closes the listeners, answers new submits with ShuttingDown,
- * lets every flight in the air complete and flush its responses, and
- * only then tears the connections down: a drain, not an abort.
+ * waits until no request is outstanding and the responses are flushed,
+ * and only then tears the connections down: a drain, not an abort.
  */
 
 #ifndef GSCALAR_SERVE_SERVER_HPP
 #define GSCALAR_SERVE_SERVER_HPP
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <deque>
@@ -80,9 +69,10 @@ class GscalarServer
         /** TCP listen target ("host:port"); empty disables TCP. Port 0
          *  binds an ephemeral port, readable via tcpPort(). */
         std::string tcpBind;
-        /** Per-request budget from admission to response (seconds).
-         *  The simulation itself is not cancelled on timeout; the
-         *  flight is simply answered with ResponseStatus::Timeout. */
+        /** Per-request budget from admission to response (seconds);
+         *  0 disables it. The simulation itself is not cancelled on
+         *  timeout; the request is answered with
+         *  ResponseStatus::Timeout. */
         double requestTimeoutSec = 600.0;
         /** Close a connection after this long without traffic and no
          *  response in flight. <= 0 disables the sweep. */
@@ -92,13 +82,10 @@ class GscalarServer
         std::uint32_t maxConnections = 64;
         /** Per-frame payload limit (never above kMaxFrameBytes). */
         std::uint32_t maxFrameBytes = kMaxFrameBytes;
-        /** Admission bound: queued (undispatched) flights across all
-         *  priority bands. 0 = unbounded. */
-        std::uint32_t maxQueuedFlights = 256;
-        /** Service threads bridging flights onto the engine; 0 sizes
-         *  the pool to the engine's worker count + 2, so the engine
-         *  stays saturated while one thread waits per flight. */
-        unsigned serviceThreads = 0;
+        /** Admission bound: runs queued in the engine (not yet
+         *  picked up by a worker) across all priority bands.
+         *  0 = unbounded. */
+        std::uint32_t maxQueuedRuns = 256;
     };
 
     explicit GscalarServer(ExperimentEngine &engine)
@@ -114,22 +101,21 @@ class GscalarServer
     GscalarServer &operator=(const GscalarServer &) = delete;
 
     /**
-     * Bind, listen and spawn the reactor + service threads. A stale
+     * Bind, listen and spawn the reactor thread. A stale
      * socket file left by a dead server is detected (connect() refused)
      * and replaced; a live one makes start() fail.
      */
     bool start(std::string *error = nullptr);
 
     /**
-     * Block until the server has drained: the reactor has fanned out
-     * every in-flight response and exited, and the service threads are
-     * joined.
+     * Block until the server has drained: the reactor has answered
+     * every outstanding request and exited.
      */
     void wait();
 
     /**
      * Initiate shutdown without blocking. Async-signal-safe: only
-     * atomics and a write() to the self-wake pipe.
+     * atomics and a write() to the wake eventfd.
      */
     void requestStop() noexcept;
 
@@ -157,22 +143,16 @@ class GscalarServer
         return activeConns_.load(std::memory_order_relaxed);
     }
 
-    /** Flights created (each computes at most one engine submit). */
+    /** Submits that started an engine run. */
     std::uint64_t coalesceLeaders() const
     {
         return coalesceLeaders_.load(std::memory_order_relaxed);
     }
 
-    /** Submits that joined an existing flight instead of computing. */
+    /** Submits that joined an engine run in flight. */
     std::uint64_t coalesceFollowers() const
     {
         return coalesceFollowers_.load(std::memory_order_relaxed);
-    }
-
-    /** Flights re-dispatched after a leader crash. */
-    std::uint64_t coalescePromotions() const
-    {
-        return coalescePromotions_.load(std::memory_order_relaxed);
     }
 
     /**
@@ -184,11 +164,12 @@ class GscalarServer
     DaemonStats stats() const;
 
   private:
-    /** One response frame (4-byte length prefix + payload), shared by
-     *  every waiter of a flight so fan-out is a pointer copy. */
+    using Frame = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+    /** One response frame (4-byte length prefix + payload). */
     struct OutBuf
     {
-        std::shared_ptr<const std::vector<std::uint8_t>> frame;
+        Frame frame;
         std::size_t off = 0;
     };
 
@@ -204,43 +185,16 @@ class GscalarServer
         bool closing = false; ///< discard reads, close once wq drains
         bool sawEof = false;
         bool dead = false; ///< reaped at the end of the iteration
-        std::uint32_t inFlight = 0; ///< responses owed to this peer
+        std::uint32_t owed = 0; ///< responses owed to this peer
         std::chrono::steady_clock::time_point lastActivity;
     };
 
-    /** One parked submit: who to answer and when it arrived. */
-    struct Waiter
+    /** A request handed to the engine and not yet answered. */
+    struct Outstanding
     {
         std::uint64_t connId = 0;
+        std::string workload;
         std::chrono::steady_clock::time_point start;
-    };
-
-    /** One coalesced computation, keyed on (workload, fingerprint). */
-    struct Flight
-    {
-        RunRequest req;
-        std::uint32_t priority = kDefaultPriority;
-        bool dispatched = false; ///< picked up by a service thread
-        std::chrono::steady_clock::time_point created;
-        std::vector<Waiter> waiters; ///< leader first
-    };
-
-    /** A flight handed to the service pool. */
-    struct PendingJob
-    {
-        std::string key;
-        RunRequest req;
-        bool promoted = false; ///< rerun after a leader crash
-        std::chrono::steady_clock::time_point created;
-    };
-
-    /** A finished (or crashed) flight coming back to the reactor. */
-    struct Completion
-    {
-        std::string key;
-        bool leaderCrash = false; ///< re-dispatch instead of fan-out
-        ResponseStatus status = ResponseStatus::InternalError;
-        std::shared_ptr<const std::vector<std::uint8_t>> frame;
     };
 
     /** A submit parsed from one reactor iteration (batched admission). */
@@ -250,7 +204,10 @@ class GscalarServer
         RunRequest req;
     };
 
-    // Reactor side (all Conn/Flight state is reactor-thread-only).
+    struct Completion;
+    struct Mailbox;
+
+    // All of it runs on the reactor thread.
     void reactorLoop();
     void acceptReady(int listenFd, bool tcp);
     void readConn(Conn &conn, std::vector<BatchItem> &batch);
@@ -258,25 +215,18 @@ class GscalarServer
     void handleFrame(Conn &conn, const std::uint8_t *data,
                      std::size_t size, std::vector<BatchItem> &batch);
     void dispatchBatch(std::vector<BatchItem> &batch);
-    void shedFlight(const std::string &key, const std::string &why);
     void drainCompletions();
-    void fanOut(const std::string &key, const Completion &done);
+    void answer(std::uint64_t reqId, ResponseStatus status,
+                const Frame &frame,
+                std::chrono::steady_clock::time_point now);
+    void sweepDeadlines(std::chrono::steady_clock::time_point now);
     void idleSweep(std::chrono::steady_clock::time_point now);
-    void enqueueFrame(Conn &conn,
-                      std::shared_ptr<const std::vector<std::uint8_t>> f);
-    void respond(Conn &conn, const RunResponse &resp);
+    void enqueueFrame(Conn &conn, Frame f);
     void flushConn(Conn &conn);
     void armWrite(Conn &conn, bool on);
-    void markDead(Conn &conn);
     void reapDead();
     void closeListeners();
     Conn *findConn(std::uint64_t id);
-
-    // Service-pool side.
-    void serviceLoop();
-    void runJob(PendingJob job);
-    void postCompletion(Completion done);
-    void wakeReactor() noexcept;
 
     ExperimentEngine &engine_;
     Options opts_;
@@ -285,29 +235,27 @@ class GscalarServer
     int epollFd_ = -1;
     int listenFd_ = -1;    ///< unix listener
     int tcpListenFd_ = -1; ///< TCP listener (optional)
-    int wakeFds_[2] = {-1, -1}; ///< self-pipe: [0] polled, [1] written
     std::atomic<std::uint16_t> tcpPort_{0};
 
     std::thread reactorThread_;
-    std::vector<std::thread> serviceThreads_;
+
+    /** Completions travelling engine workers -> reactor, with the wake
+     *  fd. Engine callbacks share it, so a run that finishes after the
+     *  server is gone still has somewhere to post. */
+    std::shared_ptr<Mailbox> mailbox_;
 
     /** Reactor-owned: id -> connection. Touched only on the reactor. */
     std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
     std::uint64_t nextConnId_ = 16; ///< low ids name the static fds
 
-    /** Reactor-owned: flight key -> flight. */
-    std::unordered_map<std::string, Flight> flights_;
-
-    /** Admission queue, one band per priority; band 2 pops first. */
-    mutable std::mutex pendingMutex_;
-    std::condition_variable pendingCv_;
-    std::array<std::deque<PendingJob>, kNumPriorities> pending_;
-    std::array<std::uint64_t, kNumPriorities> queuePeaks_{};
-    bool stopWorkers_ = false;
-
-    /** Completed flights travelling service pool -> reactor. */
-    std::mutex completionMutex_;
-    std::deque<Completion> completions_;
+    /** Reactor-owned: request id -> its peer, until answered. */
+    std::unordered_map<std::uint64_t, Outstanding> outstanding_;
+    /** Reactor-owned: (deadline, request id) in admission order; one
+     *  budget for all, so the deadlines are sorted. */
+    std::deque<std::pair<std::chrono::steady_clock::time_point,
+                         std::uint64_t>>
+        deadlines_;
+    std::uint64_t nextReqId_ = 1;
 
     std::atomic<bool> stopping_{false};
     std::atomic<bool> running_{false};
@@ -318,7 +266,6 @@ class GscalarServer
     std::atomic<std::uint64_t> frameRejects_{0}; ///< oversized frames
     std::atomic<std::uint64_t> coalesceLeaders_{0};
     std::atomic<std::uint64_t> coalesceFollowers_{0};
-    std::atomic<std::uint64_t> coalescePromotions_{0};
     std::atomic<std::uint64_t> batches_{0};
     std::atomic<std::uint64_t> batchPeak_{0};
     std::atomic<std::uint64_t> queueSheds_{0};

@@ -35,8 +35,8 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
     if (dims.ctas == 0 || dims.threadsPerCta == 0)
         GS_FATAL("empty launch for kernel '", kernel.name, "'");
     if (dims.threadsPerCta > cfg_.maxThreadsPerSm)
-        GS_FATAL("CTA of ", dims.threadsPerCta,
-                 " threads exceeds the SM limit");
+        throw LaunchDoesNotFit(detail::formatMsg(
+            "CTA of ", dims.threadsPerCta, " threads exceeds the SM limit"));
 
     MemorySystem memsys(cfg_);
     CtaDispatcher dispatcher(dims.ctas);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 #include "common/config.hpp"
 #include "common/events.hpp"
@@ -37,6 +38,14 @@ struct SimWork
     {
         return smTicks - smTicksSkipped;
     }
+};
+
+/** Thrown by Gpu::launch when a config that passes check() cannot host
+ *  a CTA (threads, registers or shared memory): deterministic, so the
+ *  engine fails the run without a retry. */
+struct LaunchDoesNotFit : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
 };
 
 /**

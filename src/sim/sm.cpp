@@ -7,6 +7,7 @@
 #include "compress/byte_mask_codec.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
+#include "gpu.hpp"
 
 namespace gs
 {
@@ -42,8 +43,9 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
     if (kernel.sharedBytes > 0)
         cap = std::min(cap, kSharedBytesPerSm / kernel.sharedBytes);
     if (cap == 0)
-        GS_FATAL("kernel '", kernel.name,
-                 "' does not fit on an SM (regs/threads/shared)");
+        throw LaunchDoesNotFit(detail::formatMsg(
+            "kernel '", kernel.name,
+            "' does not fit on an SM (regs/threads/shared)"));
     ctaCapacity_ = cap;
     maxWarps_ = ctaCapacity_ * warpsPerCta_;
 

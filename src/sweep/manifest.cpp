@@ -297,8 +297,8 @@ applySweepKnob(ArchConfig &cfg, std::string &workload,
                const std::string &knob, const std::string &value)
 {
     if (knob == "workload") {
-        if (!workloadResolvable(value))
-            return "knob workload: unknown workload '" + value + "'";
+        if (std::string why; !workloadResolvable(value, &why))
+            return "knob workload: " + why;
         workload = value;
         return {};
     }

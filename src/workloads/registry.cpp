@@ -66,20 +66,31 @@ makeWorkload(const std::string &abbr)
 {
     if (const SuiteEntry *e = findEntry(abbr))
         return e->make();
-    for (const WorkloadResolver &resolve : resolvers())
-        if (std::optional<Workload> w = resolve(abbr))
-            return std::move(*w);
-    GS_FATAL("unknown workload '", abbr, "'");
+    for (const WorkloadResolver &r : resolvers())
+        if (const std::optional<std::string> bad = r.check(abbr);
+            bad && bad->empty())
+            return r.make(abbr);
+    std::string why;
+    workloadResolvable(abbr, &why);
+    GS_FATAL(why);
 }
 
 bool
-workloadResolvable(const std::string &abbr)
+workloadResolvable(const std::string &abbr, std::string *why)
 {
     if (findEntry(abbr))
         return true;
-    for (const WorkloadResolver &resolve : resolvers())
-        if (resolve(abbr))
-            return true;
+    for (const WorkloadResolver &r : resolvers()) {
+        if (const std::optional<std::string> bad = r.check(abbr)) {
+            if (bad->empty())
+                return true;
+            if (why)
+                *why = "workload '" + abbr + "': " + *bad;
+            return false;
+        }
+    }
+    if (why)
+        *why = "unknown workload '" + abbr + "'";
     return false;
 }
 

@@ -44,16 +44,21 @@ std::vector<Workload> makeSuite();
 Workload makeWorkload(const std::string &abbr);
 
 /**
- * Pluggable name resolver consulted by makeWorkload() for names the
- * Table 2 registry does not know. Returns a Workload when the name is
- * its to resolve, std::nullopt otherwise. The generator subsystem
- * registers one for "gen:..." spec names (registerGenWorkloads()), so
- * generated kernels flow through every path a Table 2 name can take —
- * engine, disk cache, daemon, CLI. Resolvers must be registered before
- * any concurrent makeWorkload() use (binaries do it in main()).
+ * Pluggable resolver for names the Table 2 registry does not know. The
+ * generator subsystem registers one for "gen:..." spec names
+ * (registerGenWorkloads()), so generated kernels flow through every
+ * path a Table 2 name can take — engine, disk cache, daemon, CLI.
+ * `check` only parses and never exits: std::nullopt when the name is
+ * not this resolver's, else why it is malformed (empty when it is
+ * well formed). `make` builds a name `check` accepted. Resolvers must
+ * be registered before any concurrent use (binaries do it in main()).
  */
-using WorkloadResolver =
-    std::function<std::optional<Workload>(const std::string &name)>;
+struct WorkloadResolver
+{
+    std::function<std::optional<std::string>(const std::string &name)>
+        check;
+    std::function<Workload(const std::string &name)> make;
+};
 void registerWorkloadResolver(WorkloadResolver resolver);
 
 /** Table 2 abbreviations in paper order. */
@@ -61,10 +66,13 @@ const std::vector<std::string> &workloadNames();
 
 /**
  * Whether @p abbr names a Table 2 workload or a registered resolver
- * accepts it — the non-fatal probe servers use to validate request
- * names before makeWorkload() (which is fatal on unknown names).
+ * accepts it — the non-fatal, parse-only probe callers use to
+ * validate names before makeWorkload() (which is fatal on them). It
+ * builds and expands nothing. When false, @p why (if given) gets the
+ * reason: "unknown workload 'X'" or the resolver's parse error.
  */
-bool workloadResolvable(const std::string &abbr);
+bool workloadResolvable(const std::string &abbr,
+                        std::string *why = nullptr);
 
 } // namespace gs
 

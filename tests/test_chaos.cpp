@@ -567,7 +567,7 @@ TEST(ChaosDoubleFault, StoreBitFlipPlusEngineThrowByteIdentical)
     EXPECT_GE(engine.cacheStats().runRetries, 1u);
 }
 
-TEST(ChaosDoubleFault, ConnResetPlusLeaderCrashServesEveryClient)
+TEST(ChaosDoubleFault, ConnResetPlusEngineThrowServesEveryClient)
 {
     TempSocket sock;
     ArchConfig cfg;
@@ -582,10 +582,10 @@ TEST(ChaosDoubleFault, ConnResetPlusLeaderCrashServesEveryClient)
 
     DisarmAtExit cleanup;
     healthCounters().reset();
-    // Connections reset underneath clients while every coalesced
-    // flight's leader crashes before reaching the engine: the client
-    // retry ladder and the server's follower promotion must compose.
-    arm("serve:conn-reset:0.15:5,serve:coalesce-leader-crash:1:6");
+    // Connections reset underneath clients while the one engine run
+    // they all join throws on its first attempt: the client retry
+    // ladder and the engine's retry must compose.
+    arm("serve:conn-reset:0.15:5,engine:throw:1:6");
     constexpr int kClients = 4;
     std::vector<std::optional<RunResult>> results(kClients);
     std::vector<std::thread> clients;
@@ -608,7 +608,8 @@ TEST(ChaosDoubleFault, ConnResetPlusLeaderCrashServesEveryClient)
         ASSERT_TRUE(r.has_value());
         expectSameResult(*r, direct);
     }
-    EXPECT_GE(server.stats().coalescePromotions, 1u);
+    EXPECT_GE(engine.cacheStats().runRetries, 1u);
+    EXPECT_EQ(engine.cacheStats().misses, 1u);
     server.stop();
     healthCounters().reset();
 }

@@ -113,6 +113,35 @@ TEST(ConfigCheck, RejectsOversizedCounts)
     }
 }
 
+TEST(ConfigCheck, PerRequestStateBudgetBoundsTheProducts)
+{
+    // Table 1 at the largest SM count fits both budgets.
+    ArchConfig cfg;
+    cfg.numSms = 4096;
+    EXPECT_EQ(cfg.check(), "");
+    cfg.maxThreadsPerSm = 2048; // 64 warp slots x 4096 SMs: the budget
+    EXPECT_EQ(cfg.check(), "");
+    cfg.maxThreadsPerSm = 2080; // one slot more per SM
+    EXPECT_NE(cfg.check().find("warp slots"), std::string::npos)
+        << cfg.check();
+
+    cfg = ArchConfig{};
+    cfg.numSms = 4096;
+    cfg.l1Bytes = 64 * 1024; // 512 lines per SM
+    EXPECT_NE(cfg.check().find("L1 lines"), std::string::npos)
+        << cfg.check();
+
+    // Every field within its own bound, the product not: the old
+    // worst case of about 101 GiB per Gpu.
+    cfg = ArchConfig{};
+    cfg.numSms = 4096;
+    cfg.maxThreadsPerSm = 98304;
+    cfg.l1Bytes = 1u << 20;
+    cfg.lineBytes = 4;
+    EXPECT_NE(cfg.check().find("per-request budget"), std::string::npos)
+        << cfg.check();
+}
+
 TEST(ConfigCheck, RejectsCacheGeometryThatCannotBeBuilt)
 {
     // 2^31 x 2 wraps a 32-bit product to 0.

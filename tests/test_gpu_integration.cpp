@@ -131,8 +131,15 @@ TEST(GpuIntegrationDeath, RejectsOversizedCta)
     cfg.numSms = 1;
     Gpu gpu(cfg);
     const Kernel k = gridKernel();
-    EXPECT_EXIT(gpu.launch(k, {1, 4096}), ::testing::ExitedWithCode(1),
-                "exceeds");
+    // A config that cannot host the CTA is an error the engine can
+    // report per run, not a process exit.
+    try {
+        gpu.launch(k, {1, 4096});
+        ADD_FAILURE() << "launch of an oversized CTA returned";
+    } catch (const LaunchDoesNotFit &e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

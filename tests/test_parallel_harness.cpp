@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -154,6 +158,167 @@ TEST(WorkerPool, RunsEverySubmittedTask)
             pool.submit([&done] { ++done; });
     } // destructor drains the queue
     EXPECT_EQ(done.load(), 100);
+}
+
+/** A workload whose setup holds its worker until @p gate opens. */
+Workload
+gatedWorkload(std::shared_future<void> gate)
+{
+    Workload w;
+    w.name = "GATE";
+    w.suite = "test";
+    w.setup = [gate](GlobalMemory &, std::uint64_t) {
+        gate.wait();
+        throw std::runtime_error("gate released");
+    };
+    return w;
+}
+
+/** Spin until @p pred holds or ~5 s pass. */
+template <typename Pred>
+bool
+eventually(Pred pred)
+{
+    for (int i = 0; i < 500 && !pred(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return pred();
+}
+
+TEST(EngineAsync, JoinsAndMemoHitsShareOneResult)
+{
+    setQuiet(true);
+    std::promise<void> open;
+    ExperimentEngine engine(1);
+    const ArchConfig cfg;
+    engine.submit(gatedWorkload(open.get_future().share()), cfg);
+
+    std::vector<const RunResult *> got(3, nullptr);
+    std::atomic<int> calls{0};
+    auto record = [&](int i) {
+        return [&, i](const RunResult *r) {
+            got[std::size_t(i)] = r;
+            ++calls;
+        };
+    };
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 1, 0, record(0)),
+              Admission::Started);
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 2, 0, record(1)),
+              Admission::Joined);
+    EXPECT_EQ(calls.load(), 0); // the one worker is held by the gate
+    open.set_value();
+    ASSERT_TRUE(eventually([&] { return calls.load() == 2; }));
+
+    // A memo hit answers at once, on the submitting thread.
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 0, 0, record(2)),
+              Admission::Cached);
+    EXPECT_EQ(calls.load(), 3);
+    ASSERT_NE(got[0], nullptr);
+    EXPECT_TRUE(got[0]->ok()) << got[0]->error;
+    EXPECT_EQ(got[1], got[0]); // one shared result, not copies
+    EXPECT_EQ(got[2], got[0]);
+    const CacheStats s = engine.cacheStats();
+    EXPECT_EQ(s.misses, 2u); // GATE and BT
+    EXPECT_EQ(s.hits, 2u);
+}
+
+TEST(EngineAsync, EvictedRunIsShedAndIsNoComputation)
+{
+    setQuiet(true);
+    std::promise<void> open;
+    ExperimentEngine engine(1);
+    ArchConfig cfg;
+    engine.submit(gatedWorkload(open.get_future().share()), cfg);
+    ASSERT_TRUE(eventually([&] { return engine.snapshot().queueDepth == 0; }));
+
+    // B fills the one queue slot at band 0; a blocking caller joins it.
+    int shedB = 0;
+    cfg.seed = 1;
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 0, 1,
+                                 [&](const RunResult *r) {
+                                     shedB += r == nullptr;
+                                 }),
+              Admission::Started);
+    const std::shared_future<RunResult> joinedB = engine.submit("BT", cfg);
+    // The blocking join, at the default band, lifts B to band 1.
+    EXPECT_EQ(engine.snapshot().bandDepths[1], 1u);
+
+    // C at band 2 evicts B: B's waiters hear of it before submitAsync
+    // returns, and B no longer counts as a miss.
+    std::promise<bool> cOk;
+    cfg.seed = 2;
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 2, 1,
+                                 [&](const RunResult *r) {
+                                     cOk.set_value(r && r->ok());
+                                 }),
+              Admission::Started);
+    EXPECT_EQ(shedB, 1);
+    EXPECT_NE(joinedB.get().error.find("shed"), std::string::npos);
+    EXPECT_EQ(engine.cacheStats().misses, 2u); // GATE and C
+
+    // D at band 0 has nothing below it to evict: refused, no callback.
+    cfg.seed = 3;
+    EXPECT_EQ(engine.submitAsync("BT", cfg, 0, 1,
+                                 [](const RunResult *) {
+                                     ADD_FAILURE() << "refused run called";
+                                 }),
+              Admission::Refused);
+    const EngineSnapshot snap = engine.snapshot();
+    EXPECT_EQ(snap.bandDepths[0], 0u);
+    EXPECT_EQ(snap.bandDepths[2], 1u);
+    EXPECT_EQ(snap.bandPeaks[0], 1u);
+
+    open.set_value();
+    EXPECT_TRUE(cOk.get_future().get());
+
+    // The shed point was forgotten: asking again computes it.
+    cfg.seed = 1;
+    EXPECT_TRUE(engine.run("BT", cfg).ok());
+    EXPECT_EQ(engine.cacheStats().misses, 3u);
+}
+
+TEST(EngineAsync, DegradedEngineStillRunsAsyncSubmitsOnItsPool)
+{
+    setQuiet(true);
+    ExperimentEngine engine(2);
+    ArchConfig cfg;
+    for (unsigned i = 0; i < ExperimentEngine::kDegradeThreshold; ++i) {
+        Workload w;
+        w.name = "FAIL" + std::to_string(i);
+        w.setup = [](GlobalMemory &, std::uint64_t) {
+            throw std::runtime_error("setup exploded");
+        };
+        EXPECT_FALSE(engine.run(w, cfg).ok());
+    }
+    ASSERT_TRUE(engine.degraded());
+
+    // A degraded engine keeps asynchronous work off the caller: an
+    // event loop submitting here must never stall on a simulation.
+    std::promise<std::thread::id> where;
+    bool ok = false;
+    EXPECT_EQ(engine.submitAsync("BT", cfg, kDefaultPriority, 0,
+                                 [&](const RunResult *r) {
+                                     ok = r && r->ok();
+                                     where.set_value(
+                                         std::this_thread::get_id());
+                                 }),
+              Admission::Started);
+    EXPECT_NE(where.get_future().get(), std::this_thread::get_id());
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(engine.cacheStats().serialFallbacks, 0u);
+}
+
+TEST(EngineAsync, UnknownNameCompletesWithAnError)
+{
+    setQuiet(true);
+    ExperimentEngine engine(1);
+    std::promise<std::string> error;
+    engine.submitAsync("NOPE", ArchConfig{}, kDefaultPriority, 0,
+                       [&](const RunResult *r) {
+                           error.set_value(r ? r->error : "shed");
+                       });
+    EXPECT_EQ(error.get_future().get(), "unknown workload 'NOPE'");
+    EXPECT_EQ(engine.cacheStats().runRetries, 0u);
+    EXPECT_FALSE(engine.degraded());
 }
 
 TEST(ParallelHarness, CacheHitsForRepeatedRuns)

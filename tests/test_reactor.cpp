@@ -2,8 +2,10 @@
  * @file
  * Reactor serving-tier tests (serve/server.hpp): epoll connection
  * lifecycle (EOF reclaims the slot with no further accept), in-flight
- * coalescing (one engine computation, byte-identical fan-out),
- * leader-crash promotion, priority admission control, the TCP
+ * joins and memo hits in the engine (one computation, byte-identical
+ * responses), a retried engine fault under joined waiters, priority
+ * admission control and inheritance, request deadlines that outlive
+ * the server, error replies that keep the daemon serving, the TCP
  * listener, and strict connect-target parsing.
  */
 
@@ -22,6 +24,7 @@
 #include <unistd.h>
 
 #include "fault/fault.hpp"
+#include "gen/generator.hpp"
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
 #include "serve/client.hpp"
@@ -92,13 +95,35 @@ eventually(Pred pred)
 }
 
 std::vector<std::uint8_t>
-requestBlob(std::uint64_t seed, std::uint32_t priority)
+requestBlob(std::uint64_t seed, std::uint32_t priority,
+            const std::string &workload = "BT")
 {
     RunRequest req;
-    req.workload = "BT";
+    req.workload = workload;
     req.cfg.seed = seed;
     req.priority = priority;
     return serializeRequest(req);
+}
+
+/** Read one response frame off @p fd: its raw bytes and parse. */
+std::pair<std::vector<std::uint8_t>, RunResponse>
+readResponse(int fd)
+{
+    std::string err;
+    std::vector<std::uint8_t> payload;
+    EXPECT_EQ(readFrame(fd, payload, &err), 1) << err;
+    std::optional<RunResponse> resp =
+        deserializeResponse(payload.data(), payload.size(), &err);
+    EXPECT_TRUE(resp.has_value()) << err;
+    return {payload, resp.value_or(RunResponse{})};
+}
+
+/** Queued engine runs over all bands, as the stats probe reports. */
+std::uint64_t
+queuedTotal(const GscalarServer &server)
+{
+    const DaemonStats s = server.stats();
+    return s.queueDepths[0] + s.queueDepths[1] + s.queueDepths[2];
 }
 
 } // namespace
@@ -169,12 +194,12 @@ TEST(ReactorServe, CoalescingComputesOnceByteIdentically)
     }
 
     // Counter-verified: the engine simulated exactly once; every
-    // duplicate was absorbed by the flight (or, if it arrived after
-    // the flight landed, by the memo cache).
+    // duplicate joined the run in flight (a follower) or, if it arrived
+    // after the run landed, was a memo hit.
     EXPECT_EQ(engine.cacheStats().misses, 1u);
-    EXPECT_EQ(server.coalesceFollowers() + engine.cacheStats().hits,
-              std::uint64_t(kClients) - 1);
-    EXPECT_GE(server.coalesceLeaders(), 1u);
+    EXPECT_EQ(engine.cacheStats().hits, std::uint64_t(kClients) - 1);
+    EXPECT_LE(server.coalesceFollowers(), std::uint64_t(kClients) - 1);
+    EXPECT_EQ(server.coalesceLeaders(), 1u);
     EXPECT_EQ(server.requestsServed(), std::uint64_t(kClients));
 
     // The coalescing tier shows up in the stats probe too.
@@ -188,10 +213,10 @@ TEST(ReactorServe, CoalescingComputesOnceByteIdentically)
     server.stop();
 }
 
-TEST(ReactorServe, LeaderCrashPromotesAndFollowersStillAnswered)
+TEST(ReactorServe, EngineThrowIsRetriedAndJoinedWaitersGetCleanBytes)
 {
     DisarmAtExit disarm;
-    arm("serve:coalesce-leader-crash:1:7");
+    arm("engine:throw:1:7");
 
     TempSocket sock;
     ExperimentEngine engine(2);
@@ -201,9 +226,9 @@ TEST(ReactorServe, LeaderCrashPromotesAndFollowersStillAnswered)
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
 
-    // Every leader crashes (rate 1), so every flight must be promoted
-    // exactly once (the rerun is the recovery path, exempt from
-    // injection) and still answer every waiter correctly.
+    // The run's first attempt always throws (rate 1); the engine
+    // retries it exempt from injection, and every waiter joined to it
+    // still gets the answer.
     constexpr int kClients = 4;
     const std::vector<std::uint8_t> blob =
         requestBlob(/*seed=*/11, kDefaultPriority);
@@ -215,32 +240,29 @@ TEST(ReactorServe, LeaderCrashPromotesAndFollowersStillAnswered)
 
     std::vector<std::uint8_t> first;
     for (int i = 0; i < kClients; ++i) {
-        std::vector<std::uint8_t> payload;
-        ASSERT_EQ(readFrame(fds[i], payload, &err), 1) << err;
-        const std::optional<RunResponse> resp =
-            deserializeResponse(payload.data(), payload.size(), &err);
-        ASSERT_TRUE(resp.has_value()) << err;
-        EXPECT_EQ(resp->status, ResponseStatus::Ok) << resp->error;
+        const auto [payload, resp] = readResponse(fds[i]);
+        EXPECT_EQ(resp.status, ResponseStatus::Ok) << resp.error;
         if (i == 0)
             first = payload;
         else
             EXPECT_EQ(payload, first);
         ::close(fds[i]);
     }
-    EXPECT_GE(server.coalescePromotions(), 1u);
+    EXPECT_GE(engine.cacheStats().runRetries, 1u);
+    EXPECT_EQ(engine.cacheStats().misses, 1u);
     server.stop();
 
-    // The served result matches a fault-free direct simulation.
+    // The served bytes are those of a fault-free direct simulation.
     faultInjector().disarm();
-    std::string derr;
-    const std::optional<RunResponse> got =
-        deserializeResponse(first.data(), first.size(), &derr);
-    ASSERT_TRUE(got.has_value()) << derr;
     ArchConfig cfg;
     cfg.seed = 11;
-    const RunResult direct = runWorkload("BT", cfg);
-    EXPECT_EQ(got->result.ev.cycles, direct.ev.cycles);
-    EXPECT_EQ(got->result.ev.warpInsts, direct.ev.warpInsts);
+    RunResponse direct;
+    direct.status = ResponseStatus::Ok;
+    direct.result = runWorkload("BT", cfg);
+    const RunResult served =
+        deserializeResponse(first.data(), first.size())->result;
+    direct.result.wallSeconds = served.wallSeconds; // host time only
+    EXPECT_EQ(first, serializeResponse(direct));
 }
 
 TEST(ReactorServe, SpuriousEpollWakeupsAreAbsorbed)
@@ -279,28 +301,22 @@ TEST(ReactorServe, AdmissionShedsLowestBandFirst)
     ExperimentEngine engine(1);
     GscalarServer::Options o;
     o.socketPath = sock.path;
-    o.serviceThreads = 1;
-    o.maxQueuedFlights = 1;
+    o.maxQueuedRuns = 1;
     GscalarServer server(engine, o);
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
 
-    auto queuedTotal = [&] {
-        const DaemonStats s = server.stats();
-        return s.queueDepths[0] + s.queueDepths[1] + s.queueDepths[2];
-    };
-
-    // A occupies the single service thread...
+    // A occupies the engine's single worker...
     const int fdA = rawConnect(sock.path);
     ASSERT_TRUE(writeFrame(fdA, requestBlob(101, 1)));
     ASSERT_TRUE(eventually([&] {
-        return server.coalesceLeaders() >= 1 && queuedTotal() == 0;
+        return server.coalesceLeaders() >= 1 && queuedTotal(server) == 0;
     }));
 
     // ...B fills the one queue slot at the lowest band...
     const int fdB = rawConnect(sock.path);
     ASSERT_TRUE(writeFrame(fdB, requestBlob(102, 0)));
-    ASSERT_TRUE(eventually([&] { return queuedTotal() == 1; }));
+    ASSERT_TRUE(eventually([&] { return queuedTotal(server) == 1; }));
 
     // ...so a higher-band C evicts B (Overloaded), ...
     const int fdC = rawConnect(sock.path);
@@ -336,6 +352,175 @@ TEST(ReactorServe, AdmissionShedsLowestBandFirst)
     EXPECT_GE(server.stats().queueSheds, 2u);
     for (const int fd : {fdA, fdB, fdC, fdD})
         ::close(fd);
+    server.stop();
+}
+
+TEST(ReactorServe, PriorityInheritanceKeepsAJoinedRunQueued)
+{
+    TempSocket sock;
+    ExperimentEngine engine(1);
+    GscalarServer::Options o;
+    o.socketPath = sock.path;
+    o.maxQueuedRuns = 1;
+    GscalarServer server(engine, o);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    // A occupies the single worker; B waits in the one queue slot at
+    // band 0.
+    const int fdA = rawConnect(sock.path);
+    ASSERT_TRUE(writeFrame(fdA, requestBlob(201, 1)));
+    ASSERT_TRUE(eventually([&] {
+        return server.coalesceLeaders() >= 1 && queuedTotal(server) == 0;
+    }));
+    const int fdB = rawConnect(sock.path);
+    ASSERT_TRUE(writeFrame(fdB, requestBlob(202, 0)));
+    ASSERT_TRUE(eventually([&] { return queuedTotal(server) == 1; }));
+
+    // A band-2 request for B's point joins B and lifts it to band 2...
+    const int fdB2 = rawConnect(sock.path);
+    ASSERT_TRUE(writeFrame(fdB2, requestBlob(202, 2)));
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats().queueDepths[2] == 1; }));
+    EXPECT_EQ(server.coalesceFollowers(), 1u);
+
+    // ...so a band-1 arrival finds nothing below it to evict and is
+    // shed itself, while B stays queued.
+    const int fdC = rawConnect(sock.path);
+    ASSERT_TRUE(writeFrame(fdC, requestBlob(203, 1)));
+    auto [bytesC, respC] = readResponse(fdC);
+    EXPECT_EQ(respC.status, ResponseStatus::Overloaded);
+    EXPECT_NE(respC.error.find("admission queue full"), std::string::npos)
+        << respC.error;
+
+    EXPECT_EQ(readResponse(fdA).second.status, ResponseStatus::Ok);
+    const auto [bytesB, respB] = readResponse(fdB);
+    EXPECT_EQ(respB.status, ResponseStatus::Ok) << respB.error;
+    EXPECT_EQ(readResponse(fdB2).first, bytesB);
+    EXPECT_EQ(engine.cacheStats().misses, 2u); // A and B only
+    for (const int fd : {fdA, fdB, fdB2, fdC})
+        ::close(fd);
+    server.stop();
+}
+
+TEST(ReactorServe, JoinsAndMemoHitsGetTheFirstResponseBytes)
+{
+    DisarmAtExit disarm;
+    // Every run sleeps first, so the duplicates below arrive while the
+    // one computation is still in flight.
+    arm("engine:slow:1:4");
+
+    TempSocket sock;
+    ExperimentEngine engine(1);
+    GscalarServer::Options o;
+    o.socketPath = sock.path;
+    GscalarServer server(engine, o);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    constexpr int kJoiners = 3;
+    const std::vector<std::uint8_t> blob = requestBlob(31, 1);
+    int fds[kJoiners + 1];
+    for (int &fd : fds) {
+        fd = rawConnect(sock.path);
+        ASSERT_TRUE(writeFrame(fd, blob));
+    }
+    const std::vector<std::uint8_t> first = readResponse(fds[0]).first;
+    for (int i = 1; i <= kJoiners; ++i)
+        EXPECT_EQ(readResponse(fds[i]).first, first) << "joiner " << i;
+    EXPECT_GE(server.coalesceFollowers(), 1u);
+
+    // After the run landed: a memo hit, answered without a worker.
+    const int late = rawConnect(sock.path);
+    ASSERT_TRUE(writeFrame(late, blob));
+    EXPECT_EQ(readResponse(late).first, first);
+    EXPECT_EQ(engine.cacheStats().misses, 1u);
+    EXPECT_EQ(engine.cacheStats().hits, std::uint64_t(kJoiners) + 1);
+    EXPECT_EQ(server.coalesceLeaders(), 1u);
+    for (const int fd : fds)
+        ::close(fd);
+    ::close(late);
+    server.stop();
+}
+
+TEST(ReactorServe, TimedOutRunOutlivesTheServer)
+{
+    DisarmAtExit disarm;
+    arm("engine:slow:1:5"); // the run sleeps 50 ms before simulating
+    ExperimentEngine engine(1);
+    {
+        TempSocket sock;
+        GscalarServer::Options o;
+        o.socketPath = sock.path;
+        o.requestTimeoutSec = 0.005;
+        GscalarServer server(engine, o);
+        std::string err;
+        ASSERT_TRUE(server.start(&err)) << err;
+
+        const int fd = rawConnect(sock.path);
+        ASSERT_TRUE(writeFrame(fd, requestBlob(41, 1)));
+        const RunResponse resp = readResponse(fd).second;
+        EXPECT_EQ(resp.status, ResponseStatus::Timeout);
+        EXPECT_EQ(resp.error, "simulation exceeded the request budget");
+        ::close(fd);
+        // Stop and destroy the server while its run still sleeps or
+        // computes.
+        server.stop();
+    }
+    // The run completes later; its callback posts to a mailbox that
+    // outlived the server, and its result is in the memo cache.
+    ArchConfig cfg;
+    cfg.seed = 41;
+    const RunResult r = engine.run("BT", cfg);
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(engine.cacheStats().misses, 1u);
+}
+
+TEST(ReactorServe, BadNamesAndUnhostableConfigsAnswerAndServingGoesOn)
+{
+    registerGenWorkloads();
+    TempSocket sock;
+    ExperimentEngine engine(1);
+    GscalarServer::Options o;
+    o.socketPath = sock.path;
+    GscalarServer server(engine, o);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    GscalarClient client(sock.path);
+
+    // A malformed gen: name is refused parse-only, on the reactor.
+    RunRequest bogus;
+    bogus.workload = "gen:bogus";
+    std::optional<RunResponse> resp = client.exchange(bogus, &err);
+    ASSERT_TRUE(resp.has_value()) << err;
+    EXPECT_EQ(resp->status, ResponseStatus::BadRequest);
+    EXPECT_NE(resp->error.find("wants knob=value"), std::string::npos)
+        << resp->error;
+
+    // BT's CTAs do not fit 32 threads per SM. The config passes
+    // check(), so each distinct one reaches the engine and fails there
+    // without a retry; three of them must not degrade the engine.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        RunRequest tiny;
+        tiny.workload = "BT";
+        tiny.cfg.maxThreadsPerSm = 32;
+        tiny.cfg.seed = seed;
+        ASSERT_EQ(tiny.cfg.check(), "");
+        resp = client.exchange(tiny, &err);
+        ASSERT_TRUE(resp.has_value()) << err;
+        EXPECT_EQ(resp->status, ResponseStatus::InternalError);
+        EXPECT_NE(resp->error.find("exceeds the SM limit"),
+                  std::string::npos)
+            << resp->error;
+    }
+    EXPECT_FALSE(engine.degraded());
+    EXPECT_EQ(engine.cacheStats().runRetries, 0u);
+    EXPECT_EQ(engine.cacheStats().runFailures, 3u);
+
+    ArchConfig cfg;
+    const std::optional<RunResult> served = client.run("BT", cfg, &err);
+    ASSERT_TRUE(served.has_value()) << err;
+    EXPECT_GT(served->ev.cycles, 0u);
     server.stop();
 }
 

@@ -222,6 +222,25 @@ TEST(SweepManifest, MalformedManifestsAreRejected)
     }
 }
 
+TEST(SweepManifest, MalformedGenWorkloadIsAParseError)
+{
+    // The gen resolver's check only parses: a malformed spec is an
+    // error from parse(), never a process exit.
+    registerGenWorkloads();
+    std::string err;
+    EXPECT_FALSE(SweepManifest::parse(
+                     "{\"schema\":\"gscalar.sweep.v1\",\"name\":\"a\","
+                     "\"axes\":[{\"knob\":\"workload\","
+                     "\"values\":[\"BT\",\"gen:bogus\"]}]}",
+                     &err)
+                     .has_value());
+    EXPECT_NE(err.find("gen:bogus"), std::string::npos) << err;
+    EXPECT_NE(err.find("wants knob=value"), std::string::npos) << err;
+    parseOrDie("{\"schema\":\"gscalar.sweep.v1\",\"name\":\"a\","
+               "\"axes\":[{\"knob\":\"workload\","
+               "\"values\":[\"gen:seed=3,ops=8\"]}]}");
+}
+
 TEST(SweepManifest, ExpansionIsAnOdometerOverTheAxes)
 {
     const SweepManifest m = parseOrDie(kManifestText);

@@ -193,24 +193,27 @@ parseFlags(int argc, char **argv, int first, Options &opt)
                          "' (want an integer in [0, ",
                          kNumPriorities - 1, "])");
             opt.priority = std::uint32_t(*p);
-        } else if (a == "--cache")
-            setDefaultCacheEnabled(true);
-        else if (a == "--fault" || a.rfind("--fault=", 0) == 0) {
-            const std::string spec =
-                a == "--fault" ? need("--fault") : a.substr(8);
-            std::string ferr;
-            if (!faultInjector().configure(spec, &ferr))
-                GS_FATAL("--fault='", spec, "': ", ferr);
-        } else if (a == "--jobs" || a == "-j") {
-            const std::string v = need("--jobs");
-            const std::optional<unsigned> jobs = parseJobsValue(v);
-            if (!jobs)
-                GS_FATAL("invalid ", a, " value '", v,
-                         "' (want an integer in [1, 4096])");
-            setDefaultJobs(*jobs);
-        } else if (a == "--sim-threads") {
-            need("--sim-threads");
-            ignoreSimThreads(true);
+        } else if (const std::optional<int> n = processFlagValues(a)) {
+            // The process-wide rest (--codec was taken above as a
+            // config knob); run/suite/submit apply them here.
+            const std::string v =
+                *n ? need(a == "-j" ? "--jobs" : a.c_str()) : "";
+            if (a == "--cache") {
+                setDefaultCacheEnabled(true);
+            } else if (a == "--sim-threads") {
+                ignoreSimThreads(true);
+            } else if (a == "--jobs" || a == "-j") {
+                const std::optional<unsigned> jobs = parseJobsValue(v);
+                if (!jobs)
+                    GS_FATAL("invalid ", a, " value '", v,
+                             "' (want an integer in [1, 4096])");
+                setDefaultJobs(*jobs);
+            } else {
+                const std::string spec = *n ? v : a.substr(8);
+                std::string ferr;
+                if (!faultInjector().configure(spec, &ferr))
+                    GS_FATAL("--fault='", spec, "': ", ferr);
+            }
         } else
             GS_FATAL("unknown option '", a, "'");
     }
@@ -334,13 +337,8 @@ cmdBench(int argc, char **argv)
             setFormat(a.substr(9));
         else if (a == "--format")
             setFormat(need("--format"));
-        else if (a == "--cache")
-            continue; // consumed by initHarness
-        else if (a.rfind("--fault=", 0) == 0)
-            continue; // consumed by initHarness
-        else if (a == "--fault" || a == "--jobs" || a == "-j" ||
-                 a == "--sim-threads" || a == "--codec")
-            ++i; // value consumed by initHarness
+        else if (const std::optional<int> n = processFlagValues(a))
+            i += *n; // consumed by initHarness
         else
             GS_FATAL("unknown option '", a,
                      "' (see `gscalar bench --help`)");
@@ -454,13 +452,10 @@ cmdExperiment(int argc, char **argv)
     std::vector<std::string> names;
     for (int i = 2; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--jobs" || a == "-j" || a == "--fault" ||
-            a == "--sim-threads" || a == "--codec") {
-            ++i; // value consumed by initHarness
+        if (const std::optional<int> n = processFlagValues(a)) {
+            i += *n; // consumed by initHarness
             continue;
         }
-        if (a == "--cache" || a.rfind("--fault=", 0) == 0)
-            continue;
         if (a == "all") {
             for (const Experiment &e : experiments())
                 if (e.inDefaultRun)
@@ -538,7 +533,6 @@ printDaemonStats(const DaemonStats &s, bool json)
            << ", \"frame_rejects\": " << s.frameRejects
            << ", \"coalesce_leaders\": " << s.coalesceLeaders
            << ", \"coalesce_followers\": " << s.coalesceFollowers
-           << ", \"coalesce_promotions\": " << s.coalescePromotions
            << ", \"batches\": " << s.batches
            << ", \"batch_peak\": " << s.batchPeak
            << ", \"queue_sheds\": " << s.queueSheds
@@ -581,9 +575,9 @@ printDaemonStats(const DaemonStats &s, bool json)
               << Table::num(s.simWallSeconds, 2)
               << "s of simulate time\n";
     std::cout << "coalescing: " << s.coalesceLeaders
-              << " flight(s) computed, " << s.coalesceFollowers
-              << " follower(s) shared one, " << s.coalescePromotions
-              << " promotion(s); " << s.batches << " batch(es), peak "
+              << " run(s) started, " << s.coalesceFollowers
+              << " joined one in flight; " << s.batches
+              << " batch(es), peak "
               << s.batchPeak << " request(s)\n"
               << "admission: queued " << s.queueDepths[0] << "/"
               << s.queueDepths[1] << "/" << s.queueDepths[2]
@@ -745,11 +739,8 @@ cmdFuzz(int argc, char **argv)
             replayPath = need("--replay");
         } else if (a == "--no-engine") {
             opt.engineTraffic = false;
-        } else if (a == "--cache" || a.rfind("--fault=", 0) == 0) {
-            continue; // consumed by initHarness
-        } else if (a == "--fault" || a == "--jobs" || a == "-j" ||
-                   a == "--sim-threads" || a == "--codec") {
-            ++i; // value consumed by initHarness
+        } else if (const std::optional<int> n = processFlagValues(a)) {
+            i += *n; // consumed by initHarness
         } else {
             GS_FATAL("unknown option '", a,
                      "' (see `gscalar fuzz --help`)");
@@ -839,11 +830,8 @@ cmdSweep(int argc, char **argv)
             sopt.progressEvery =
                 parseUint(need("--progress"), "--progress", 1,
                           std::numeric_limits<std::uint64_t>::max());
-        else if (a == "--cache" || a.rfind("--fault=", 0) == 0)
-            continue; // consumed by initHarness
-        else if (a == "--fault" || a == "--jobs" || a == "-j" ||
-                 a == "--sim-threads" || a == "--codec")
-            ++i; // value consumed by initHarness
+        else if (const std::optional<int> n = processFlagValues(a))
+            i += *n; // consumed by initHarness
         else if (!a.empty() && a[0] == '-')
             GS_FATAL("unknown option '", a,
                      "' (see `gscalar sweep --help`)");
@@ -981,12 +969,10 @@ commands()
          "                         0 = unlimited)\n"
          "  --max-frame-bytes N    reject request frames above N bytes\n"
          "                         (default and ceiling 16 MiB)\n"
-         "  --max-queued N         admission bound on queued flights\n"
+         "  --max-queued N         admission bound on queued runs\n"
          "                         across the priority bands (default\n"
          "                         256; 0 = unbounded); overflow sheds\n"
          "                         the lowest band first\n"
-         "  --service-threads N    threads bridging flights onto the\n"
-         "                         engine (default: workers + 2)\n"
          "  --fault SPEC           inject faults (same as $GS_FAULT)\n"
          "  --jobs/-j N            worker pool size\n"
          "  --codec C              default RF codec (GS_CODEC)\n"

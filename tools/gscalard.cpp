@@ -7,8 +7,7 @@
  *   gscalard [--socket PATH] [--tcp HOST:PORT] [--timeout SEC]
  *            [--idle-timeout SEC] [--max-connections N]
  *            [--max-frame-bytes N] [--max-queued N]
- *            [--service-threads N] [--jobs N] [--codec NAME]
- *            [--cache] [--fault SPEC]
+ *            [--jobs N] [--codec NAME] [--cache] [--fault SPEC]
  */
 
 #include <iostream>
@@ -37,16 +36,15 @@ printUsage(std::ostream &os)
         "                [--timeout SEC] [--jobs N]\n"
         "                [--idle-timeout SEC] [--max-connections N]\n"
         "                [--max-frame-bytes N] [--max-queued N]\n"
-        "                [--service-threads N] [--cache]\n"
-        "                [--fault SPEC]\n"
+        "                [--cache] [--fault SPEC]\n"
         "\n"
         "Serves simulation requests from gscalar submit /\n"
         "GscalarClient over a unix-domain socket (and optionally TCP),\n"
         "sharing one experiment engine (worker pool + run cache)\n"
         "across every client. One epoll reactor thread owns every\n"
-        "connection; duplicate in-flight requests coalesce into a\n"
-        "single simulation whose response bytes fan out to every\n"
-        "waiter. `gscalar submit --stats` reports live counters\n"
+        "connection and hands requests straight to the engine, where\n"
+        "duplicate in-flight requests join a single simulation.\n"
+        "`gscalar submit --stats` reports live counters\n"
         "(uptime, requests, cache state, coalescing and admission\n"
         "tier, per-workload latency). SIGINT/SIGTERM drain in-flight\n"
         "requests, then exit.\n"
@@ -65,12 +63,9 @@ printUsage(std::ostream &os)
         "                       0 = unlimited)\n"
         "  --max-frame-bytes N  reject request frames above N bytes\n"
         "                       (default and ceiling 16 MiB)\n"
-        "  --max-queued N       admission bound on queued flights\n"
+        "  --max-queued N       admission bound on queued runs\n"
         "                       (default 256; 0 = unbounded); overflow\n"
         "                       sheds the lowest priority band first\n"
-        "  --service-threads N  threads bridging flights onto the\n"
-        "                       engine (default: workers + 2;\n"
-        "                       at most 4096)\n"
         "  --fault SPEC         inject deterministic faults\n"
         "                       (site:kind:rate[:seed], comma-\n"
         "                       separated; same as $GS_FAULT)\n"
